@@ -208,6 +208,9 @@ def cmd_constants(cfg: RunConfig, out: IO[str]) -> None:
 def cmd_predict(cfg: RunConfig, out: IO[str]) -> None:
     assert cfg.predict_model is not None
     fn, needs_pi = _PREDICT_MODELS[cfg.predict_model]
+    for name, value in (("x", cfg.x), ("pi_x", cfg.pi_x)):
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if needs_pi:
         if cfg.pi_x is None:
             raise DomainError(f"model {cfg.predict_model} requires pi_x")

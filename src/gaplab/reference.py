@@ -3,8 +3,9 @@
 Published lists reach ~1.4e18, far beyond anything a desk sieve can touch,
 so they arrive as text files: one record per line, ``<gap> <prime>`` (the
 prime that opens the gap), ``#`` comments, blank lines ignored, gaps in
-increasing order.  Every entry is primality-checked on parse (both ends of
-the gap) -- the deterministic 64-bit test makes that cheap and it catches
+increasing order.  Every entry is primality-checked on parse: both ends of
+the gap are prime and every odd number strictly between them is composite.
+The deterministic 64-bit test makes that cheap and it catches
 transcription errors immediately.
 
 A bundled 75-record fixture ships in ``gaplab/data/maximal_gaps.txt``; its
@@ -63,6 +64,9 @@ def _validate_records(records: list[tuple[int, int]]) -> None:
             raise ValidationError(f"record ({g}, {p}): {p} is not prime")
         if not is_prime(p + g):
             raise ValidationError(f"record ({g}, {p}): {p + g} = p + gap is not prime")
+        inner = next((v for v in range(p + 1 + p % 2, p + g, 2) if is_prime(v)), None)
+        if inner is not None:
+            raise ValidationError(f"record ({g}, {p}): {inner} is a prime inside the gap")
         last_g, last_p = g, p
 
 

@@ -2,8 +2,12 @@
 
 The sieve works on odd numbers only, one byte-mask segment at a time, so a
 scan to 10^9 or beyond never holds more than a couple of megabytes of mask.
-Composite marking for 3, 5 and 7 is pre-baked into a tiled wheel pattern;
-the remaining base primes are crossed off with strided numpy writes.
+Composite marking for 3, 5 and 7 is pre-baked into a tiled wheel pattern.
+The remaining base primes come from one int64 array that grows on demand by
+running this same sieve over the new range.  Base primes much smaller than
+the segment are crossed off with strided numpy writes; the rest hit a
+segment a few times at most and are crossed in vectorised rounds, the
+bucket idea of T. Oliveira e Silva's segmented sieve and of primesieve.
 
 Conventions used throughout the package:
 
@@ -21,10 +25,10 @@ segment order, which keeps every consumer deterministic regardless of the
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -37,9 +41,18 @@ MAX_PRIME_INPUT = 2**64 - 1
 # (Sinclair's 7-witness set, see miller-rabin.appspot.com).
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
+# Product of the odd primes up to 47: an input above them that shares a factor
+# with it is composite, which settles about 70% of odd inputs without a
+# Miller-Rabin round.
+_ODD_PRIMORIAL_47 = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
+
 # (p, inverse of 2 mod p) for the wheel primes baked into the segment init.
 _WHEEL_PRIMES = ((3, 2), (5, 3), (7, 4))
 _WHEEL = 105
+
+# Large base primes are crossed this many at a time, which caps the
+# transient int64 arrays of one segment at a few tens of megabytes.
+_LARGE_CHUNK = 1 << 20
 
 
 class RangeTooLargeError(ValueError):
@@ -70,18 +83,45 @@ def _validate_range(lo: int, hi: int) -> None:
         raise ValueError(f"sieve range bound {hi} exceeds {MAX_SIEVE_BOUND}")
 
 
-@lru_cache(maxsize=8)
-def _base_primes(bound: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Primes <= bound as ((all primes), (primes >= 11)), via a plain sieve."""
-    if bound < 2:
-        return (), ()
-    flags = np.ones(bound + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(bound) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    primes = tuple(int(p) for p in np.flatnonzero(flags))
-    return primes, tuple(p for p in primes if p >= 11)
+# Odd primes in [11, bound] for the largest bound sieved so far.  Bound and
+# array live in one tuple, replaced in one assignment, so a reader on another
+# thread never pairs a bound with the array of a different growth step.
+_base_cache: tuple[int, np.ndarray] = (10, np.zeros(0, dtype=np.int64))
+_base_grow_lock = threading.RLock()  # growing re-enters for sqrt(bound)
+
+
+def _base_primes(bound: int) -> np.ndarray:
+    """Ascending odd primes in [11, bound] as a read-only int64 array.
+
+    The result is a slice of one cache that only grows: a larger ``bound``
+    runs the segmented sieve over ``(cached bound, bound]``, whose own base
+    primes (up to sqrt(bound)) come from this function.
+    """
+    global _base_cache
+    cached_bound, primes = _base_cache
+    if bound > cached_bound:
+        with _base_grow_lock:
+            cached_bound, primes = _base_cache
+            if bound > cached_bound:
+                primes = _grow_base_primes(primes, cached_bound, bound)
+                _base_cache = (bound, primes)
+    return primes[: np.searchsorted(primes, bound, side="right")]
+
+
+def _grow_base_primes(primes: np.ndarray, cached_bound: int, bound: int) -> np.ndarray:
+    """``primes`` extended by the primes of ``(cached_bound, bound]``."""
+    # pi(x) < 1.25506 x / ln x for x > 1 (Rosser-Schoenfeld).  Pages past the
+    # final count are never written, so the slack costs no resident memory.
+    grown = np.empty(int(1.25506 * bound / math.log(bound)) + 1, dtype=np.int64)
+    grown[: primes.size] = primes
+    count = primes.size
+    for _, first, mask in _iter_masks(cached_bound + 1, bound + 1, None, threads=1):
+        found = np.flatnonzero(mask)
+        grown[count : count + found.size] = first + 2 * found
+        count += found.size
+    grown = grown[:count]
+    grown.flags.writeable = False
+    return grown
 
 
 def _segments_for(lo: int, hi: int, segment_length: int) -> list[Segment]:
@@ -92,13 +132,31 @@ def _segments_for(lo: int, hi: int, segment_length: int) -> list[Segment]:
     ]
 
 
-def _odd_mask(lo: int, hi: int, marking_primes: Sequence[int]) -> tuple[int, np.ndarray]:
+def _first_offsets(primes: np.ndarray, first: int) -> np.ndarray:
+    """Index ``i`` of the first value ``first + 2*i`` each prime must mark.
+
+    That value is the larger of p*p and the first odd multiple of p that is
+    >= ``first``, so a base prime inside the range is never marked.  Every
+    term stays relative to ``first``, so nothing overflows int64 near 2^63
+    (p*p itself is below the range's upper bound).
+    """
+    to_multiple = -first % primes
+    to_multiple += primes * (to_multiple & 1)  # first + to_multiple must be odd
+    return np.maximum(to_multiple >> 1, (primes * primes - first) >> 1)
+
+
+def _odd_mask(lo: int, hi: int, base: np.ndarray) -> tuple[int, np.ndarray]:
     """Primality mask over the odd values of ``[lo, hi)``.
 
     Returns ``(first, mask)`` where ``first`` is the first odd value and
-    ``mask[i]`` tells whether ``first + 2*i`` survived.  ``marking_primes``
-    must be the ascending odd base primes >= 11; multiples of 3, 5, 7 come
-    from the wheel pattern.
+    ``mask[i]`` tells whether ``first + 2*i`` survived.  ``base`` must hold
+    the ascending odd base primes >= 11 (as from :func:`_base_primes`);
+    multiples of 3, 5, 7 come from the wheel pattern.
+
+    A prime below n/32 (n odd entries) hits the segment many times and is
+    crossed with one strided write.  The rest hit it at most 32 times each:
+    their first offsets are computed together, ``_LARGE_CHUNK`` primes at a
+    time, and marked in vectorised rounds of ``off += p``.
     """
     first = lo | 1
     n = (hi - first + 1) // 2
@@ -114,34 +172,45 @@ def _odd_mask(lo: int, hi: int, marking_primes: Sequence[int]) -> tuple[int, np.
         if first <= v < hi:
             mask[(v - first) >> 1] = v != 1
 
-    for p in marking_primes:
-        sq = p * p
-        if sq >= hi:
-            break
-        if sq >= lo:
-            start = sq
-        else:
-            start = (lo + p - 1) // p * p
-            if start % 2 == 0:
-                start += p
-            if start >= hi:
-                continue
-        mask[(start - first) >> 1 :: p] = False
+    base = base[: np.searchsorted(base, math.isqrt(hi - 1), side="right")]
+    split = int(np.searchsorted(base, n >> 5))
+    small = base[:split]
+    for p, start in zip(small.tolist(), _first_offsets(small, first).tolist()):
+        mask[start::p] = False
+    for at in range(split, base.size, _LARGE_CHUNK):
+        primes = base[at : at + _LARGE_CHUNK]
+        off = _first_offsets(primes, first)
+        while True:
+            hit = off < n
+            if not hit.any():
+                break
+            primes, off = primes[hit], off[hit]
+            mask[off] = False
+            off += primes
     return first, mask
+
+
+def _segment_length(segment_length: int | None) -> int:
+    """The requested segment length, or the default for ``None``."""
+    if segment_length is None:
+        return DEFAULT_SEGMENT_LENGTH
+    if segment_length < 1:
+        raise ValueError(f"segment length must be >= 1, got {segment_length}")
+    return segment_length
 
 
 def _iter_masks(
     lo: int,
     hi: int,
-    segment_length: int,
+    segment_length: int | None,
     threads: int,
 ) -> Iterator[tuple[Segment, int, np.ndarray]]:
     """Yield ``(segment, first_odd, mask)`` in segment order."""
-    _, marking = _base_primes(math.isqrt(hi - 1))
-    segments = _segments_for(lo, hi, segment_length)
+    segments = _segments_for(lo, hi, _segment_length(segment_length))
+    base = _base_primes(math.isqrt(hi - 1))
 
     def work(seg: Segment) -> tuple[Segment, int, np.ndarray]:
-        first, mask = _odd_mask(seg.lo, seg.hi, marking)
+        first, mask = _odd_mask(seg.lo, seg.hi, base)
         return seg, first, mask
 
     if threads <= 1 or len(segments) < 2:
@@ -175,7 +244,6 @@ def iter_prime_blocks(
 ) -> Iterator[np.ndarray]:
     """Yield the primes of ``[lo, hi)`` as one ascending int64 array per segment."""
     _validate_range(lo, hi)
-    segment_length = segment_length or DEFAULT_SEGMENT_LENGTH
     for seg, first, mask in _iter_masks(lo, hi, segment_length, threads):
         block = first + 2 * np.flatnonzero(mask)
         if seg.lo <= 2 < seg.hi:
@@ -198,7 +266,7 @@ def primes_in_range(
     :class:`RangeTooLargeError`.
     """
     _validate_range(lo, hi)
-    segment_length = segment_length or DEFAULT_SEGMENT_LENGTH
+    segment_length = _segment_length(segment_length)
     if not auto_split and hi - lo > 2 * segment_length:
         raise RangeTooLargeError(
             f"range [{lo}, {hi}) spans more than one segment "
@@ -223,7 +291,6 @@ def prime_count(
         raise ValueError("x must be >= 0")
     if x <= 2:
         return 0
-    segment_length = segment_length or DEFAULT_SEGMENT_LENGTH
     total = 1  # the prime 2
     for _, _, mask in _iter_masks(0, x, segment_length, threads):
         total += int(np.count_nonzero(mask))
@@ -247,7 +314,6 @@ def prime_count_many(
         counts[targets.pop(0)] = 0
     if not targets:
         return counts
-    segment_length = segment_length or DEFAULT_SEGMENT_LENGTH
     running = 1  # the prime 2
     t = np.asarray(targets, dtype=np.int64)
     for seg, first, mask in _iter_masks(0, targets[-1], segment_length, threads):
@@ -345,6 +411,6 @@ def is_prime(n: int) -> bool:
                     flags[p * p :: p] = False
             _small_sieve_flags = flags
         return bool(_small_sieve_flags[n])
-    if n % 2 == 0:
+    if n % 2 == 0 or math.gcd(n, _ODD_PRIMORIAL_47) != 1:
         return False
     return _miller_rabin(n)

@@ -103,6 +103,15 @@ def test_predict_usage_errors(capsys):
     assert cli.main(["predict", "g_gauss", "2"]) == 2  # outside domain
 
 
+@pytest.mark.parametrize("x", ["inf", "nan"])
+def test_predict_rejects_non_finite_input(capsys, x):
+    assert cli.main(["predict", "r_kernel", x]) == 2
+    assert cli.main(["predict", "g_wolf", "1e6", x]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
 def test_figure1_computed_only(capsys):
     rc, out = run(capsys, "figure1", "--limit", "130")
     assert rc == 0
@@ -209,6 +218,22 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.main(["table1", "--limit", "2"]) == 2  # below the minimum scan bound
     missing = tmp_path / "missing.txt"
     assert cli.main(["records", "--limit", "130", "--ref", str(missing)]) == 4
+
+
+@pytest.mark.parametrize("segment", ["-5", "0"])
+def test_bad_segment_length_is_a_usage_error(capsys, segment):
+    assert cli.main(["verify", "--limit", "1e6", "--segment", segment]) == 2
+    assert cli.main(["table1", "--limit", "114", "--segment", segment]) == 2
+    captured = capsys.readouterr()
+    assert "count=" not in captured.out
+    assert "segment length must be >= 1" in captured.err
+
+
+def test_reference_with_a_prime_inside_a_gap_is_a_data_error(tmp_path, capsys):
+    hidden = tmp_path / "hidden.txt"
+    hidden.write_text("12 139\n")  # 139 and 151 are prime, so is 149 between them
+    assert cli.main(["records", "--limit", "130", "--ref", str(hidden)]) == 3
+    assert "149 is a prime inside the gap" in capsys.readouterr().err
 
 
 def test_scientific_notation_limits(capsys):

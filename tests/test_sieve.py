@@ -1,3 +1,7 @@
+import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,3 +137,73 @@ def test_prime_stream():
     assert stream.limit == 100
     # re-iterable
     assert list(stream) == list(stream)
+
+
+# Windows far from 0, a few thousand values wide.  n/32 is 31 to 62 here (n
+# odd entries per segment), so base primes below that are crossed with
+# strided writes and every larger one goes through the vectorised rounds.
+_FAR_WINDOWS = [
+    (10**12 - 1500, 10**12 + 1500),
+    (10**15 + 7, 10**15 + 4007),
+    (10**17 - 2001, 10**17 + 999),
+]
+
+
+@pytest.mark.parametrize("lo,hi", _FAR_WINDOWS)
+@pytest.mark.parametrize("segment_length", [None, 1000])
+def test_far_windows_against_is_prime(lo, hi, segment_length):
+    survivors = set(sieve.primes_in_range(lo, hi, segment_length=segment_length).tolist())
+    for v in range(lo | 1, hi, 2):
+        assert (v in survivors) == sieve.is_prime(v), v
+    assert all(v % 2 for v in survivors)
+
+
+@pytest.mark.parametrize("segment_length", [16, 32, 64, 1000])
+def test_tiny_segments_from_zero_keep_base_primes(segment_length):
+    # n/32 is at most 31, so every base prime >= 11 (or >= 37 for 1000) takes
+    # the vectorised path; 11 (for 64) and 37, 41, 43 (for 1000) lie inside
+    # the first segment and must not mark themselves
+    got = sieve.primes_in_range(0, 20000, segment_length=segment_length)
+    assert got.tolist() == trial_division_primes(0, 20000)
+
+
+def test_window_order_does_not_change_results(monkeypatch):
+    windows = [(10**9, 10**9 + 3000), (10**11, 10**11 + 3000), (10**13, 10**13 + 3000),
+               (10**15 - 3000, 10**15)]
+    empty = (10, np.zeros(0, dtype=np.int64))
+    monkeypatch.setattr(sieve, "_base_cache", empty)
+    ascending = [sieve.primes_in_range(lo, hi) for lo, hi in windows]
+    monkeypatch.setattr(sieve, "_base_cache", empty)
+    descending = [sieve.primes_in_range(lo, hi) for lo, hi in reversed(windows)][::-1]
+    for a, d in zip(ascending, descending):
+        assert np.array_equal(a, d)
+    assert sieve._base_cache[0] == math.isqrt(10**15 - 1)
+
+
+def test_base_primes_grow_consistently_across_threads(monkeypatch):
+    monkeypatch.setattr(sieve, "_base_cache", (10, np.zeros(0, dtype=np.int64)))
+    bounds = [10**9, 10**10, 10**11, 10**12, 10**13, 10**14] * 2
+    expected = {b: [v for v in range(b, b + 600) if sieve.is_prime(v)] for b in set(bounds)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [(b, pool.submit(sieve.primes_in_range, b, b + 600)) for b in bounds]
+            results = [(b, f.result(timeout=60).tolist()) for b, f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for b, got in results:
+        assert got == expected[b], b
+    bound, primes = sieve._base_cache
+    flags = np.ones(bound + 1, dtype=bool)
+    flags[:2] = False
+    for f in range(2, math.isqrt(bound) + 1):
+        flags[f * f :: f] = False
+    assert np.array_equal(primes, np.flatnonzero(flags)[4:])  # from 11 on
+
+
+def test_record_916_endpoints_are_adjacent():
+    p = 1189459969825483
+    got = sieve.primes_in_range(p - 5000, p + 916 + 5000)
+    i = int(np.searchsorted(got, p))
+    assert got[i] == p and got[i + 1] == p + 916
