@@ -16,7 +16,8 @@ from gaplab.cli import _parse_count
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--limit", type=_parse_count, default=10**8)
-    ap.add_argument("--segment", type=_parse_count, default=1 << 22)
+    ap.add_argument("--segment", type=_parse_count, default=None,
+                    help="sieve segment length in odd entries (default: the library default)")
     ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 import gaplab
-from gaplab import gaps, heuristics, reference, sieve
+from gaplab import gaps, heuristics, reference
 from gaplab.heuristics import DomainError, GapModel, GapModelKind
 
 USAGE_ERROR = 2
@@ -135,12 +135,20 @@ def _load_reference(cfg: RunConfig) -> reference.ReferenceTable | None:
         return reference.parse_reference_table(fh, provenance=cfg.reference_path)
 
 
-def _record_table(cfg: RunConfig) -> gaps.GapRecordTable:
-    computed = gaps.max_gap_records(cfg.limit, **_scan_kwargs(cfg))
+def _record_table(cfg: RunConfig) -> tuple[gaps.GapRecordTable, dict[int, int]]:
+    """The record table, merged with ``--ref`` if given, and pi(x) for every
+    record x <= limit, all from one scan."""
+    if cfg.limit < 3:  # the scan's own check, made before the reference is read
+        raise ValueError("limit must be >= 3")
     ref = _load_reference(cfg)
-    if ref is None:
-        return computed
-    return reference.merge_records(computed, ref)
+    in_reach = [] if ref is None else [p for _, p in ref.records if p <= cfg.limit]
+    result = gaps.scan_gaps(cfg.limit, pi_at=in_reach, **_scan_kwargs(cfg))
+    table = gaps.GapRecordTable(
+        records=result.records, source=gaps.TableSource.COMPUTED, limit=cfg.limit
+    )
+    if ref is not None:
+        table = reference.merge_records(table, ref)
+    return table, result.pi
 
 
 def cmd_table1(cfg: RunConfig, out: IO[str]) -> None:
@@ -151,19 +159,16 @@ def cmd_table1(cfg: RunConfig, out: IO[str]) -> None:
 
 
 def cmd_table2(cfg: RunConfig, out: IO[str]) -> None:
-    points = gaps.top_andrica(cfg.limit, cfg.top_k, **_scan_kwargs(cfg))
-    indices = sieve.prime_count_many(
-        [pt.gap.p for pt in points], **_scan_kwargs(cfg)
-    )
+    result = gaps.scan_gaps(cfg.limit, top_k=cfg.top_k, **_scan_kwargs(cfg))
     _header(out, cfg, f"limit={cfg.limit}", f"top={cfg.top_k}")
     out.write("n,p_n,p_n1,d_n,A_n\n")
-    for pt in points:
-        n = indices[pt.gap.p] + 1
+    for pt in result.top:
+        n = result.pi[pt.gap.p] + 1
         out.write(f"{n},{pt.gap.p},{pt.gap.q},{pt.gap.d},{pt.a:.7f}\n")
 
 
 def cmd_records(cfg: RunConfig, out: IO[str]) -> None:
-    table = _record_table(cfg)
+    table, _ = _record_table(cfg)
     _header(
         out,
         cfg,
@@ -234,17 +239,12 @@ def _predicted_gap(cfg: RunConfig, x: int, pi_at: dict[int, int]) -> float:
 
 
 def cmd_figure1(cfg: RunConfig, out: IO[str]) -> None:
-    table = _record_table(cfg)
-    xs = [rec.p_L for rec in table.records]
-    pi_at: dict[int, int] = {}
-    if cfg.model in ("auto", "wolf_exact_pi"):
-        in_reach = [x for x in xs if x <= cfg.limit]
-        if cfg.model == "wolf_exact_pi" and len(in_reach) < len(xs):
-            raise DomainError(
-                "exact prime counts are unavailable beyond --limit; "
-                "raise --limit or use --model auto / wolf_gauss"
-            )
-        pi_at = sieve.prime_count_many(in_reach, **_scan_kwargs(cfg))
+    table, pi_at = _record_table(cfg)
+    if cfg.model == "wolf_exact_pi" and any(rec.p_L > cfg.limit for rec in table.records):
+        raise DomainError(
+            "exact prime counts are unavailable beyond --limit; "
+            "raise --limit or use --model auto / wolf_gauss"
+        )
     _header(
         out,
         cfg,
@@ -267,7 +267,7 @@ def cmd_figure1(cfg: RunConfig, out: IO[str]) -> None:
 
 
 def cmd_figure2(cfg: RunConfig, out: IO[str]) -> None:
-    table = _record_table(cfg)
+    table, _ = _record_table(cfg)
     _header(
         out,
         cfg,

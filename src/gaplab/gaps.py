@@ -10,24 +10,45 @@ about 1.19e9 and differ by ~6e-7, so the direct form cancels away all
 significance while the quotient keeps full double precision (relative
 error a few 1e-16, see the test suite's extended-precision checks).
 
-All scanners share one vectorized fold over consecutive-prime pairs
-(:func:`scan_gaps`), so a single pass over 10^9 serves record extraction,
-the Andrica maximum, the running envelope, first occurrences and top-k at
-once.  A pair (p, q) belongs to a scan with bound ``limit`` iff q < limit,
-matching the strict inequality used by ``prime_count``.
+All scanners share one fold (:func:`scan_gaps`), so a single pass over
+10^9 serves record extraction, the Andrica maximum, the running envelope,
+first occurrences, top-k and the prime index pi(p) at once.  A pair (p, q)
+belongs to a scan with bound ``limit`` iff q < limit, matching the strict
+inequality used by ``prime_count``.
+
+The fold reads each sieve segment's odd-only primality mask directly, as
+T. Oliveira e Silva, S. Herzog and S. Pardi read gap records off the sieve
+bitmap ("Empirical verification of the even Goldbach conjecture and
+computation of prime gaps up to 4*10^18", Math. Comp. 83, 2014).  With
+``idx`` the indices of the set entries, the gaps are ``2*diff(idx)`` plus one
+gap from the last prime of the previous segment (2 for the first segment),
+and a running count of the primes gives pi(p) of every pair for free.  Primes
+are built as integers only where a fold needs them:
+
+* records walk a segment only when its largest gap beats the record;
+* the Andrica quotient is taken only for a segment whose bound
+  d_max / (2 sqrt(p0)), p0 its first p, beats the envelope or reaches the
+  current k-th best; no quotient in the segment can exceed that bound, and
+  beyond (7, 11) it rules out nearly every segment;
+* first occurrences look up each gap in a table of values already seen,
+  which grows with the largest gap, and sort only the new ones.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from gaplab import sieve
+
+# Initial size of the table of gap values already seen by a first-occurrence
+# scan.  Deliberately small: every scan past 31397 (gap 72) grows it.
+_SEEN_START = 64
 
 
 def stable_sqrt_diff(p: int, q: int) -> float:
@@ -126,6 +147,7 @@ class GapScanResult:
     max_point: AndricaPoint | None
     first: dict[int, FirstOccurrence] | None = None
     top: tuple[AndricaPoint, ...] | None = None
+    pi: dict[int, int] = field(default_factory=dict)
 
 
 def andrica_diff(gap: PrimeGap) -> float:
@@ -176,11 +198,53 @@ def _walk_rising(values: np.ndarray, current: float) -> list[int]:
             return out
 
 
+def _new_gaps(d: np.ndarray, seen: np.ndarray) -> list[tuple[int, int]]:
+    """(g, first index of g in ``d``) for every gap value g not yet ``seen``,
+    ascending in g; marks them seen."""
+    fresh = np.flatnonzero(~seen[d])
+    values, at = np.unique(d[fresh], return_index=True)
+    seen[values] = True
+    return list(zip(values.tolist(), fresh[at].tolist()))
+
+
+def _candidate_quotients(
+    base: int,
+    idx: np.ndarray,
+    d: np.ndarray,
+    two_root: float,
+    env_a: float,
+    threshold: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices j of the pairs whose bound d_j / two_root beats ``env_a`` or
+    reaches ``threshold``, and their Andrica quotients.
+
+    Pair j closes at q = base + 2*idx[j] and opens at p = q - d[j]; the
+    quotient is the same double as ``d / (sqrt(q) + sqrt(p))`` over int64 q
+    and p.  Working in place keeps the first segment, where every pair is a
+    candidate, to a few arrays of its size.
+    """
+    bound = d / two_root
+    sel = np.flatnonzero((bound > env_a) | (bound >= threshold))
+    del bound
+    d = d[sel]
+    n = idx[sel]
+    n <<= 1
+    n += base  # q
+    root_sum = np.sqrt(n.astype(np.float64))
+    n -= d  # p
+    root_p = n.astype(np.float64)
+    del n
+    root_sum += np.sqrt(root_p, out=root_p)
+    del root_p
+    return sel, np.divide(d, root_sum, out=root_sum)
+
+
 def scan_gaps(
     limit: int,
     *,
     top_k: int | None = None,
     collect_first: bool = False,
+    pi_at: Iterable[int] = (),
     segment_length: int | None = None,
     threads: int = 1,
 ) -> GapScanResult:
@@ -189,65 +253,107 @@ def scan_gaps(
     Always produces the maximal-gap records and the running-maximum
     envelope of the Andrica difference; optionally also the first
     occurrence of every gap value and the ``top_k`` largest differences.
+    ``pi`` of the result holds the prime count below every record p_L,
+    every top-k p and every x of ``pi_at`` (0 <= x <= limit).
     """
     if limit < 3:
         raise ValueError("limit must be >= 3")
-    count = 0
+    targets = sorted(set(int(x) for x in pi_at))
+    if targets and not 0 <= targets[0] <= targets[-1] <= limit:
+        raise ValueError(f"pi_at values must lie in [0, {limit}]")
+    pi = {x: 0 for x in targets if x <= 2}
+    targets = [x for x in targets if x > 2]
+    next_target = 0
+
+    prev, n_prev = 2, 0  # last prime before the segment; pi(prev) = pairs so far
     records: list[GapRecord] = []
     record_g = 0
     envelope: list[tuple[int, float]] = []
     env_a = 0.0
     max_point: AndricaPoint | None = None
+    seen = np.zeros(_SEEN_START, dtype=bool)
     first: dict[int, int] = {}
-    candidates: list[tuple[float, int, int]] = []
-    threshold = -math.inf
+    top: list[tuple[float, int, int, int]] = []  # (a, p, q, pi(p))
+    threshold = -math.inf if top_k is not None else math.inf  # k-th best a so far
 
-    for p, q in _pair_blocks(limit, segment_length=segment_length, threads=threads):
-        d = q - p
-        a = d / (np.sqrt(q.astype(np.float64)) + np.sqrt(p.astype(np.float64)))
-        count += int(d.size)
+    for seg, base, mask in sieve._iter_masks(0, limit, segment_length, threads):
+        # the primes of the segment are base + 2*idx; pair j closes at
+        # q_j = base + 2*idx[j] and opens at p_j = q_j - d_j, pi(p_j) = n_prev + j
+        idx = np.flatnonzero(mask)
+        while next_target < len(targets) and targets[next_target] <= seg.hi:
+            x = targets[next_target]
+            pi[x] = n_prev + 1 + int(np.searchsorted(idx, (x - base + 1) >> 1))
+            next_target += 1
+        if idx.size == 0:
+            continue
+        d = np.diff(idx, prepend=0)
+        d <<= 1
+        d[0] = base + 2 * int(idx[0]) - prev
+        d_max = int(d.max())
 
-        if int(d.max()) > record_g:
-            for i in _walk_rising(d, record_g):
-                rec = GapRecord(
-                    p_L=int(p[i]), p_L1=int(q[i]), g=int(d[i]), r=float(a[i])
-                )
-                records.append(rec)
-                record_g = rec.g
-
-        if float(a.max()) > env_a:
-            for i in _walk_rising(a, env_a):
-                envelope.append((int(p[i]), float(a[i])))
-                max_point = AndricaPoint(
-                    gap=PrimeGap(int(p[i]), int(q[i])), a=float(a[i])
-                )
-            env_a = envelope[-1][1]
+        if d_max > record_g:
+            for j in _walk_rising(d, record_g):
+                g = int(d[j])
+                p = base + 2 * int(idx[j]) - g
+                records.append(GapRecord(p_L=p, p_L1=p + g, g=g, r=stable_sqrt_diff(p, p + g)))
+                pi[p] = n_prev + j
+            record_g = records[-1].g
 
         if collect_first:
-            uniq, idx = np.unique(d, return_index=True)
-            for g, i in zip(uniq, idx):
-                first.setdefault(int(g), int(p[i]))
+            if d_max >= seen.size:
+                # no proven bound caps the gaps, so the table grows on demand
+                grown = np.zeros(max(2 * seen.size, d_max + 1), dtype=bool)
+                grown[: seen.size] = seen
+                seen = grown
+            for g, j in _new_gaps(d, seen):
+                first[g] = base + 2 * int(idx[j]) - g
 
-        if top_k is not None:
-            keep = np.nonzero(a >= threshold)[0]
-            candidates.extend(
-                (float(a[i]), int(p[i]), int(q[i])) for i in keep
-            )
-            candidates.sort(key=lambda t: (-t[0], t[1]))
-            if len(candidates) > top_k:
-                # keep everything tied with the k-th best so later ties resolve by p
-                threshold = candidates[top_k - 1][0]
-                cut = top_k
-                while cut < len(candidates) and candidates[cut][0] == threshold:
-                    cut += 1
-                del candidates[cut:]
-                threshold = candidates[top_k - 1][0] if len(candidates) >= top_k else -math.inf
+        # Every pair here has p >= prev, and IEEE sqrt, + and / are monotone
+        # under round-to-nearest, so fl(sqrt q) + fl(sqrt p) >= 2 fl(sqrt prev)
+        # and a_j = fl(d_j / that sum) <= fl(d_j / (2 fl(sqrt prev))) =: bound_j.
+        # A pair can enter the envelope (a > env_a) or the top-k
+        # (a >= threshold) only if its bound does; after (7, 11) that rules out
+        # nearly every segment from its d_max alone.
+        two_root = 2.0 * math.sqrt(prev)
+        if d_max / two_root > env_a or d_max / two_root >= threshold:
+            sel, a = _candidate_quotients(base, idx, d, two_root, env_a, threshold)
 
-    top = None
+            def pair(i: int) -> tuple[int, int]:
+                q = base + 2 * int(idx[sel[i]])
+                return q - int(d[sel[i]]), q
+
+            rising = _walk_rising(a, env_a)
+            for i in rising:
+                envelope.append((pair(i)[0], float(a[i])))
+            if rising:
+                env_a = float(a[rising[-1]])
+                max_point = AndricaPoint(gap=PrimeGap(*pair(rising[-1])), a=env_a)
+
+            if top_k is not None:
+                # the k best of the segment and every tie with the k-th
+                cut = threshold
+                if a.size > top_k:
+                    cut = max(cut, np.partition(a, a.size - top_k)[a.size - top_k])
+                for i in np.flatnonzero(a >= cut).tolist():
+                    top.append((float(a[i]), *pair(i), n_prev + int(sel[i])))
+                top.sort(key=lambda t: (-t[0], t[1]))
+                if len(top) >= top_k:
+                    # keep everything tied with the k-th best so ties resolve by p
+                    threshold = top[top_k - 1][0]
+                    cut = top_k
+                    while cut < len(top) and top[cut][0] == threshold:
+                        cut += 1
+                    del top[cut:]
+
+        prev = base + 2 * int(idx[-1])
+        n_prev += idx.size
+
+    top_points = None
     if top_k is not None:
-        top = tuple(
-            AndricaPoint(gap=PrimeGap(p, q), a=a) for a, p, q in candidates[:top_k]
+        top_points = tuple(
+            AndricaPoint(gap=PrimeGap(p, q), a=a) for a, p, q, _ in top[:top_k]
         )
+        pi.update((p, n) for _, p, _, n in top[:top_k])
     first_map = None
     if collect_first:
         first_map = {
@@ -255,12 +361,13 @@ def scan_gaps(
         }
     return GapScanResult(
         limit=limit,
-        pair_count=count,
+        pair_count=n_prev,
         records=tuple(records),
         envelope=tuple(envelope),
         max_point=max_point,
         first=first_map,
-        top=top,
+        top=top_points,
+        pi=pi,
     )
 
 

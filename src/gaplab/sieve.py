@@ -25,6 +25,7 @@ segment order, which keeps every consumer deterministic regardless of the
 from __future__ import annotations
 
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -199,13 +200,24 @@ def _segment_length(segment_length: int | None) -> int:
     return segment_length
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _iter_masks(
     lo: int,
     hi: int,
     segment_length: int | None,
     threads: int,
 ) -> Iterator[tuple[Segment, int, np.ndarray]]:
-    """Yield ``(segment, first_odd, mask)`` in segment order."""
+    """Yield ``(segment, first_odd, mask)`` in segment order.
+
+    At most ``min(threads, usable CPUs, segments)`` worker threads sieve;
+    more could not run at once and would only hold more masks.
+    """
     segments = _segments_for(lo, hi, _segment_length(segment_length))
     base = _base_primes(math.isqrt(hi - 1))
 
@@ -213,26 +225,27 @@ def _iter_masks(
         first, mask = _odd_mask(seg.lo, seg.hi, base)
         return seg, first, mask
 
-    if threads <= 1 or len(segments) < 2:
+    workers = min(threads, _usable_cpus(), len(segments))
+    if workers <= 1:
         for seg in segments:
             yield work(seg)
         return
 
-    # Bounded look-ahead: keep at most 2*threads segments in flight so a slow
+    # Bounded look-ahead: keep at most 2*workers segments in flight so a slow
     # consumer never piles up hundreds of masks in memory.
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = []
         it = iter(segments)
         for seg in it:
             pending.append(pool.submit(work, seg))
-            if len(pending) >= 2 * threads:
+            if len(pending) >= 2 * workers:
                 break
         while pending:
-            done = pending.pop(0)
+            done = pending.pop(0).result()
             nxt = next(it, None)
             if nxt is not None:
                 pending.append(pool.submit(work, nxt))
-            yield done.result()
+            yield done
 
 
 def iter_prime_blocks(

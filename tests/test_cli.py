@@ -249,3 +249,39 @@ def test_output_file_writing(tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().out == ""
     assert path.read_text().splitlines()[-1] == "109,113,4,0.189839304"
+
+
+def test_figure1_reference_record_straddling_the_limit(capsys, fixture_path):
+    # the record with gap 34 after 1327 ends at 1361, past --limit 1350: the
+    # scan never sees that pair, yet pi(1327) must come from the same pass
+    from gaplab import heuristics, sieve
+
+    rc, out = run(capsys, "figure1", "--limit", "1350", "--ref", fixture_path, "--model", "auto")
+    assert rc == 0
+    row = next(r for r in data_rows(out) if r.startswith("1327,"))
+    g = heuristics.g_wolf(1327, sieve.prime_count(1327))
+    assert float(row.split(",")[2]) == pytest.approx(heuristics.r_kernel(g), rel=1e-11)
+
+    rc = cli.main(
+        ["figure1", "--limit", "1350", "--ref", fixture_path, "--model", "wolf_exact_pi"]
+    )
+    assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["table2", "figure1"])
+def test_one_sieve_pass_from_zero(monkeypatch, capsys, fixture_path, command):
+    from gaplab import sieve
+
+    calls = []
+    iter_masks = sieve._iter_masks
+
+    def counting(lo, hi, *args, **kwargs):
+        if lo == 0:  # base-prime growth sieves from above 10, not from 0
+            calls.append((lo, hi))
+        return iter_masks(lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(sieve, "_iter_masks", counting)
+    argv = [command, "--limit", "1e5"] + (["--ref", fixture_path] if command == "figure1" else [])
+    rc, _ = run(capsys, *argv)
+    assert rc == 0
+    assert calls == [(0, 10**5)]

@@ -1,5 +1,7 @@
 import math
+from bisect import bisect_left
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -273,3 +275,144 @@ def test_scan_rejects_tiny_limits():
         list(gaps.gap_stream(2))
     with pytest.raises(ValueError):
         gaps.top_andrica(100, 0)
+
+
+# --- the fold on the sieve mask against brute-force rescans -------------------
+
+_ORACLE_LIMIT = 31500  # just past gap 72, first opening at 31397
+_ORACLE_PRIMES = trial_division_primes(0, _ORACLE_LIMIT)
+
+
+def _brute_scan(limit, k):
+    """Records, envelope, first occurrences, top-k and pi(p) by rescanning a
+    trial-division prime list pair by pair."""
+    primes = _ORACLE_PRIMES[: bisect_left(_ORACLE_PRIMES, limit)]
+    records, envelope, first, scored, pi = [], [], {}, [], {}
+    best_d, best_a = 0, 0.0
+    for n, (p, q) in enumerate(zip(primes, primes[1:])):  # p is the (n+1)-th prime
+        a = (q - p) / (math.sqrt(q) + math.sqrt(p))
+        if q - p > best_d:
+            best_d = q - p
+            records.append((p, q, best_d, a))
+            pi[p] = n
+        if a > best_a:
+            best_a = a
+            envelope.append((p, a))
+        first.setdefault(q - p, p)
+        scored.append((a, p, q, n))
+    top = sorted(scored, key=lambda t: (-t[0], t[1]))[:k] if k else []
+    pi.update((p, n) for _, p, _, n in top)
+    return {
+        "pair_count": max(len(primes) - 1, 0),
+        "records": records,
+        "envelope": envelope,
+        "first": dict(sorted(first.items())),
+        "top": [(p, q, a) for a, p, q, _ in top] if k else None,
+        "pi": pi,
+    }
+
+
+def _folded(result):
+    return {
+        "pair_count": result.pair_count,
+        "records": [(r.p_L, r.p_L1, r.g, r.r) for r in result.records],
+        "envelope": list(result.envelope),
+        "first": {d: f.p_f for d, f in result.first.items()},
+        "top": None if result.top is None else [(t.gap.p, t.gap.q, t.a) for t in result.top],
+        "pi": result.pi,
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    segment=st.integers(min_value=1, max_value=64),
+    k=st.sampled_from([None, 1, 3, 10, 500]),
+    data=st.data(),
+)
+def test_scan_matches_brute_force_rescan(segment, k, data):
+    limit = data.draw(st.integers(min_value=3, max_value=min(2000 * segment, 20000)))
+    result = gaps.scan_gaps(limit, top_k=k, collect_first=True, segment_length=segment)
+    assert _folded(result) == _brute_scan(limit, k)
+    if result.max_point is not None:
+        assert (result.max_point.gap.p, result.max_point.a) == result.envelope[-1]
+
+
+@pytest.mark.parametrize("segment_length", [16, 1000, None])
+def test_top_k_takes_pairs_from_later_segments(segment_length):
+    # the top 500 of 2261 pairs spread far past the first segments, so every
+    # segment passes or fails the d_max / (2 sqrt p0) prefilter on its merits
+    limit = 20000
+    result = gaps.scan_gaps(limit, top_k=500, segment_length=segment_length)
+    expected = _brute_scan(limit, 500)
+    assert [(t.gap.p, t.gap.q, t.a) for t in result.top] == expected["top"]
+    assert max(t.gap.p for t in result.top) > limit // 2
+
+
+@pytest.mark.parametrize("segment_length", [16, None])
+def test_top_k_ties_resolve_by_smaller_p(monkeypatch, segment_length):
+    # Quotients rounded down to 1/64 tie all the time (rounding down keeps
+    # them under the segment bound): ties with the k-th best must survive the
+    # prefilter and the per-segment cut, and order by the smaller p.
+    exact = gaps._candidate_quotients
+
+    def coarse(*args):
+        sel, a = exact(*args)
+        return sel, np.floor(a * 64) / 64
+
+    monkeypatch.setattr(gaps, "_candidate_quotients", coarse)
+    limit = 10000
+    primes = _ORACLE_PRIMES[: bisect_left(_ORACLE_PRIMES, limit)]
+    scored = sorted(
+        (
+            (math.floor((q - p) / (math.sqrt(q) + math.sqrt(p)) * 64) / 64, p, q)
+            for p, q in zip(primes, primes[1:])
+        ),
+        key=lambda t: (-t[0], t[1]),
+    )
+    for k in (1, 10, 300):
+        result = gaps.scan_gaps(limit, top_k=k, segment_length=segment_length)
+        assert [(t.a, t.gap.p, t.gap.q) for t in result.top] == scored[:k]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p0=st.integers(min_value=2, max_value=2**62),
+    step=st.integers(min_value=0, max_value=2**40),
+    d=st.integers(min_value=1, max_value=1500),
+    extra=st.integers(min_value=0, max_value=1500),
+)
+def test_segment_bound_is_never_below_a_quotient(p0, step, d, extra):
+    # a pair (p, p + d) with p >= p0 never beats d_max / (2 sqrt p0), d <= d_max
+    p = p0 + step
+    assert gaps.stable_sqrt_diff(p, p + d) <= (d + extra) / (2.0 * math.sqrt(p0))
+
+
+@pytest.mark.parametrize("start,segment_length", [(1, 64), (2, None), (64, 16)])
+def test_first_occurrences_grow_the_seen_table(monkeypatch, start, segment_length):
+    monkeypatch.setattr(gaps, "_SEEN_START", start)
+    got = gaps.first_occurrences(_ORACLE_LIMIT, segment_length=segment_length)
+    expected = _brute_scan(_ORACLE_LIMIT, 1)["first"]
+    assert {d: f.p_f for d, f in got.items()} == expected
+    # gap 72 first opens at 31397: beyond the default table size
+    assert max(expected) > gaps._SEEN_START and expected[72] == 31397
+
+
+def test_default_seen_table_is_outgrown_by_an_ordinary_scan():
+    assert max(gaps.first_occurrences(10**5)) > gaps._SEEN_START
+
+
+def test_prime_index_of_records_and_top_pairs():
+    limit = 10**5 + 3
+    xs = [0, 1, 2, 3, 4, 1327, 1328, 99991, limit]
+    result = gaps.scan_gaps(limit, top_k=25, pi_at=xs, segment_length=1000)
+    wanted = {rec.p_L for rec in result.records} | {t.gap.p for t in result.top} | set(xs)
+    assert set(result.pi) == wanted
+    for x, n in result.pi.items():
+        assert n == sieve.prime_count(x), x
+
+
+def test_pi_at_must_lie_within_the_scan():
+    with pytest.raises(ValueError):
+        gaps.scan_gaps(1000, pi_at=[1001])
+    with pytest.raises(ValueError):
+        gaps.scan_gaps(1000, pi_at=[-1])

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -207,3 +208,59 @@ def test_record_916_endpoints_are_adjacent():
     got = sieve.primes_in_range(p - 5000, p + 916 + 5000)
     i = int(np.searchsorted(got, p))
     assert got[i] == p and got[i + 1] == p + 916
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: runs each task at submit time, on the
+    calling thread, and records the pool size and the peak of unread futures."""
+
+    sizes: list[int] = []
+    peak_pending = 0
+
+    def __init__(self, max_workers):
+        type(self).sizes.append(max_workers)
+        self.pending = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.pending += 1
+        type(self).peak_pending = max(type(self).peak_pending, self.pending)
+        value = fn(*args)
+        pool = self
+
+        class Done:
+            def result(self):
+                pool.pending -= 1
+                return value
+
+        return Done()
+
+
+@pytest.mark.parametrize(
+    "threads,cpus,limit,workers",
+    [(1000, 3, 20000, 3), (1000, 64, 2000, 5), (2, 64, 20000, 2), (1000, 1, 20000, None)],
+)
+def test_worker_threads_are_bounded(monkeypatch, threads, cpus, limit, workers):
+    # no real threads: the pool is replaced, and the CPU count is pretended
+    monkeypatch.setattr(sieve, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(sieve, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "peak_pending", 0)
+    segment_length = 200  # 400 integers per segment
+    assert sieve.prime_count(limit, segment_length=segment_length, threads=threads) == len(
+        trial_division_primes(0, limit)
+    )
+    if workers is None:
+        assert _RecordingPool.sizes == []
+    else:
+        assert _RecordingPool.sizes == [workers]
+        assert 0 < _RecordingPool.peak_pending <= 2 * workers
+
+
+def test_usable_cpus_is_positive():
+    assert 1 <= sieve._usable_cpus() <= (os.cpu_count() or 1)
