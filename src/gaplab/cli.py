@@ -28,12 +28,17 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 import gaplab
-from gaplab import gaps, heuristics, reference
+from gaplab import gaps, heuristics, reference, sieve
 from gaplab.heuristics import DomainError, GapModel, GapModelKind
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
 IO_ERROR = 4
+
+# Most rows table1 formats and writes at once: enough to amortise the numpy
+# and write calls, few enough that a chunk's arrays, Python objects and joined
+# text stay near 1 MB whatever the segment length.
+_TABLE1_CHUNK_ROWS = 1 << 13
 
 _PREDICT_MODELS = {
     "r_kernel": (heuristics.r_kernel, False),
@@ -65,6 +70,11 @@ _PREDICT_MODELS = {
 
 _FIGURE_MODELS = ("auto", "wolf_exact_pi", "wolf_gauss", "cramer", "granville")
 
+# Subcommands that scan the pairs with q < --limit.
+_SCANS = frozenset(
+    {"table1", "table2", "records", "first-gaps", "verify", "figure1", "figure2"}
+)
+
 
 @dataclass
 class RunConfig:
@@ -84,10 +94,23 @@ class RunConfig:
     pi_x: float | None = None
 
     def __post_init__(self) -> None:
+        """Reject bad input before any output is opened or written."""
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.subcommand in _SCANS and self.limit < 3:
+            raise ValueError("limit must be >= 3")
+        if self.subcommand == "constants" and self.prime_limit < 3:
+            raise ValueError("prime_limit must be >= 3")
+        if self.segment_length is not None:
+            sieve._segment_length(self.segment_length)
+        if self.subcommand == "predict":
+            for name, value in (("x", self.x), ("pi_x", self.pi_x)):
+                if value is not None and not math.isfinite(value):
+                    raise DomainError(f"{name} must be finite, got {value}")
+            if self.pi_x is None and _PREDICT_MODELS[self.predict_model][1]:
+                raise DomainError(f"model {self.predict_model} requires pi_x")
 
 
 def _parse_count(text: str) -> int:
@@ -138,8 +161,6 @@ def _load_reference(cfg: RunConfig) -> reference.ReferenceTable | None:
 def _record_table(cfg: RunConfig) -> tuple[gaps.GapRecordTable, dict[int, int]]:
     """The record table, merged with ``--ref`` if given, and pi(x) for every
     record x <= limit, all from one scan."""
-    if cfg.limit < 3:  # the scan's own check, made before the reference is read
-        raise ValueError("limit must be >= 3")
     ref = _load_reference(cfg)
     in_reach = [] if ref is None else [p for _, p in ref.records if p <= cfg.limit]
     result = gaps.scan_gaps(cfg.limit, pi_at=in_reach, **_scan_kwargs(cfg))
@@ -154,8 +175,13 @@ def _record_table(cfg: RunConfig) -> tuple[gaps.GapRecordTable, dict[int, int]]:
 def cmd_table1(cfg: RunConfig, out: IO[str]) -> None:
     _header(out, cfg, f"limit={cfg.limit}")
     out.write("p_n,p_n1,d_n,A_n\n")
-    for gap in gaps.gap_stream(cfg.limit, **_scan_kwargs(cfg)):
-        out.write(f"{gap.p},{gap.q},{gap.d},{gaps.andrica_diff(gap):.9f}\n")
+    for p_block, q_block in gaps._pair_blocks(cfg.limit, **_scan_kwargs(cfg)):
+        for lo in range(0, p_block.size, _TABLE1_CHUNK_ROWS):
+            p = p_block[lo : lo + _TABLE1_CHUNK_ROWS]
+            q = q_block[lo : lo + _TABLE1_CHUNK_ROWS]
+            columns = (p, q, q - p, gaps.andrica_quotients(p, q))
+            rows = zip(*(c.tolist() for c in columns))
+            out.write("".join(f"{x},{y},{d},{a:.9f}\n" for x, y, d, a in rows))
 
 
 def cmd_table2(cfg: RunConfig, out: IO[str]) -> None:
@@ -211,14 +237,8 @@ def cmd_constants(cfg: RunConfig, out: IO[str]) -> None:
 
 
 def cmd_predict(cfg: RunConfig, out: IO[str]) -> None:
-    assert cfg.predict_model is not None
     fn, needs_pi = _PREDICT_MODELS[cfg.predict_model]
-    for name, value in (("x", cfg.x), ("pi_x", cfg.pi_x)):
-        if value is not None and not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
     if needs_pi:
-        if cfg.pi_x is None:
-            raise DomainError(f"model {cfg.predict_model} requires pi_x")
         value = fn(cfg.x, cfg.pi_x)
     else:
         value = fn(cfg.x)

@@ -58,6 +58,22 @@ def stable_sqrt_diff(p: int, q: int) -> float:
     return (q - p) / (math.sqrt(q) + math.sqrt(p))
 
 
+def andrica_quotients(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`stable_sqrt_diff` over int64 arrays, bit for bit.
+
+    Each step rounds as the scalar form does: int64 to double rounds to
+    nearest even like Python's int to float, sqrt is correctly rounded in
+    both, and the sum and the quotient are taken in the same order.  It
+    works in place, so it holds at most two float arrays of the input's size.
+    """
+    root_sum = q.astype(np.float64)
+    np.sqrt(root_sum, out=root_sum)
+    root_p = p.astype(np.float64)
+    root_sum += np.sqrt(root_p, out=root_p)
+    del root_p
+    return np.divide(q - p, root_sum, out=root_sum)
+
+
 @dataclass(frozen=True)
 class PrimeGap:
     """A consecutive-prime pair.  Consecutiveness is the constructor's contract;
@@ -218,25 +234,17 @@ def _candidate_quotients(
     """Indices j of the pairs whose bound d_j / two_root beats ``env_a`` or
     reaches ``threshold``, and their Andrica quotients.
 
-    Pair j closes at q = base + 2*idx[j] and opens at p = q - d[j]; the
-    quotient is the same double as ``d / (sqrt(q) + sqrt(p))`` over int64 q
-    and p.  Working in place keeps the first segment, where every pair is a
-    candidate, to a few arrays of its size.
+    Pair j closes at q = base + 2*idx[j] and opens at p = q - d[j].  Working
+    in place keeps the first segment, where every pair is a candidate, to a
+    few arrays of its size.
     """
     bound = d / two_root
     sel = np.flatnonzero((bound > env_a) | (bound >= threshold))
     del bound
-    d = d[sel]
-    n = idx[sel]
-    n <<= 1
-    n += base  # q
-    root_sum = np.sqrt(n.astype(np.float64))
-    n -= d  # p
-    root_p = n.astype(np.float64)
-    del n
-    root_sum += np.sqrt(root_p, out=root_p)
-    del root_p
-    return sel, np.divide(d, root_sum, out=root_sum)
+    q = idx[sel]
+    q <<= 1
+    q += base
+    return sel, andrica_quotients(q - d[sel], q)
 
 
 def scan_gaps(

@@ -55,7 +55,7 @@ def bundled():
 def record_scan_1e9():
     """Single-threaded record scan to 1e9, timed for criterion 6."""
     t0 = time.perf_counter()
-    table = gaps.max_gap_records(LIMIT_1E9, segment_length=1 << 22)
+    table = gaps.max_gap_records(LIMIT_1E9)
     return table, time.perf_counter() - t0
 
 
@@ -160,7 +160,7 @@ def test_criterion_06_records_vs_published(record_scan_1e9, bundled):
 
 def test_criterion_07_andrica_verification(capsys):
     with criterion("7 Andrica verification to 1e9"):
-        out = run_cli(capsys, "verify", "--limit", "1e9", "--segment", str(1 << 22))
+        out = run_cli(capsys, "verify", "--limit", "1e9")
         assert out.startswith("all_below_one=true max_A=0.670873479 at=(7,11)")
         assert out.strip().endswith("count=50847533")
 

@@ -1,9 +1,20 @@
+import contextlib
+import io
 import math
+from bisect import bisect_left
 from importlib import resources
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaplab import cli
+import gaplab
+from gaplab import cli, gaps
+from tests.conftest import trial_division_primes
+
+_TABLE1_ORACLE_LIMIT = 50000
+_TABLE1_ORACLE_PRIMES = trial_division_primes(0, _TABLE1_ORACLE_LIMIT)
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +229,61 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.main(["table1", "--limit", "2"]) == 2  # below the minimum scan bound
     missing = tmp_path / "missing.txt"
     assert cli.main(["records", "--limit", "130", "--ref", str(missing)]) == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--limit", "2"],
+        ["table1", "--limit", "114", "--segment", "0"],
+        ["verify", "--limit", "2"],
+        ["records", "--limit", "-1", "--segment", "-5"],
+        ["figure2", "--limit", "1", "--emit-gnuplot", "never.gp"],
+        ["constants", "--prime-limit", "2"],
+        ["predict", "g_wolf", "1e6"],
+        ["predict", "r_kernel", "nan"],
+    ],
+)
+def test_usage_errors_leave_the_output_untouched(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out == ""
+    keep = tmp_path / "keep.csv"
+    keep.write_text("keep me\n")
+    assert cli.main(argv + ["--out", str(keep)]) == 2
+    assert keep.read_text() == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.csv"]
+
+
+def test_usage_error_comes_before_an_unwritable_output(capsys):
+    # input is checked before --out is opened, so the usage error wins
+    assert cli.main(["table1", "--limit", "2", "--out", "/nonexistent/x.csv"]) == 2
+    assert "limit must be >= 3" in capsys.readouterr().err
+
+
+def _table1_oracle(limit):
+    primes = _TABLE1_ORACLE_PRIMES[: bisect_left(_TABLE1_ORACLE_PRIMES, limit)]
+    head = f"# gaplab table1 v{gaplab.__version__}\n# limit={limit}\np_n,p_n1,d_n,A_n\n"
+    return head + "".join(
+        f"{p},{q},{q - p},{gaps.stable_sqrt_diff(p, q):.9f}\n"
+        for p, q in zip(primes, primes[1:])
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    limit=st.integers(min_value=3, max_value=_TABLE1_ORACLE_LIMIT),
+    segment=st.integers(min_value=1, max_value=256),
+    threads=st.sampled_from([1, 2]),
+    chunk_rows=st.integers(min_value=1, max_value=7),
+)
+def test_table1_bytes_match_trial_division(limit, segment, threads, chunk_rows):
+    # tiny write chunks and segments put both kinds of edge mid-output
+    argv = ["table1", "--limit", str(limit), "--segment", str(segment), "--threads", str(threads)]
+    out = io.StringIO()
+    with mock.patch.object(cli, "_TABLE1_CHUNK_ROWS", chunk_rows), contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    assert out.getvalue() == _table1_oracle(limit)
 
 
 @pytest.mark.parametrize("segment", ["-5", "0"])

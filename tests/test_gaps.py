@@ -3,7 +3,7 @@ from bisect import bisect_left
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaplab import gaps, sieve
@@ -416,3 +416,26 @@ def test_pi_at_must_lie_within_the_scan():
         gaps.scan_gaps(1000, pi_at=[1001])
     with pytest.raises(ValueError):
         gaps.scan_gaps(1000, pi_at=[-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2**62),
+            st.one_of(
+                st.integers(min_value=1, max_value=1500),
+                st.integers(min_value=1, max_value=2**62),
+            ),
+        ),
+        min_size=1,
+        max_size=64,
+    )
+)
+@example(pairs=[(2**53, 1), (2**53 + 1, 2), (2**53 - 1, 2), (2**62 - 1, 3), (0, 2**62)])
+def test_andrica_quotients_match_the_scalar_form_bit_for_bit(pairs):
+    # beyond 2^53 the int -> double conversion rounds; both forms must round alike
+    p = np.array([x for x, _ in pairs], dtype=np.int64)
+    q = np.array([x + d for x, d in pairs], dtype=np.int64)
+    got = [a.hex() for a in gaps.andrica_quotients(p, q).tolist()]
+    assert got == [gaps.stable_sqrt_diff(x, x + d).hex() for x, d in pairs]
