@@ -40,35 +40,24 @@ IO_ERROR = 4
 # text stay near 1 MB whatever the segment length.
 _TABLE1_CHUNK_ROWS = 1 << 13
 
-_PREDICT_MODELS = {
-    "r_kernel": (heuristics.r_kernel, False),
-    "r_shanks": (heuristics.r_shanks, False),
-    "r_cramer_form": (heuristics.r_cramer_form, False),
-    "pf_wolf": (heuristics.pf_wolf, False),
-    "pf_shanks": (heuristics.pf_shanks, False),
-    "g_wolf": (heuristics.g_wolf, True),
-    "g_gauss": (heuristics.g_gauss, False),
-    "g_cramer": (heuristics.g_cramer, False),
-    "granville": (heuristics.granville_bound, False),
-    "r_main_wolf": (
-        lambda x, pi_x: heuristics.r_main(x, GapModel(GapModelKind.WOLF_EXACT_PI), pi_x),
-        True,
-    ),
-    "r_main_gauss": (
-        lambda x: heuristics.r_main(x, GapModel(GapModelKind.WOLF_GAUSS)),
-        False,
-    ),
-    "r_main_cramer": (
-        lambda x: heuristics.r_main(x, GapModel(GapModelKind.CRAMER)),
-        False,
-    ),
-    "r_main_granville": (
-        lambda x: heuristics.r_main(x, GapModel(GapModelKind.GRANVILLE)),
-        False,
-    ),
-}
 
-_FIGURE_MODELS = ("auto", "wolf_exact_pi", "wolf_gauss", "cramer", "granville")
+def _kernel_over(model: GapModel):
+    """r_kernel of the gap-size form ``model``, as a (x, pi_x=None) function."""
+    return lambda x, pi_x=None: heuristics.r_main(x, model, pi_x)
+
+
+# predict's models: the registry plus r_main_<form>, the kernel over each
+# gap-size form (g_wolf -> r_main_wolf, granville -> r_main_granville).
+_PREDICT_MODELS = {
+    **heuristics.MODELS,
+    **{
+        "r_main_" + name.removeprefix("g_"): (
+            _kernel_over(GapModel(kind)),
+            heuristics.MODELS[name][1],
+        )
+        for kind, name in heuristics.GAP_FORMS.items()
+    },
+}
 
 # Subcommands that scan the pairs with q < --limit.
 _SCANS = frozenset(
@@ -142,13 +131,32 @@ def _header(out: IO[str], cfg: RunConfig, *fields: str) -> None:
         out.write("# " + " ".join(fields) + "\n")
 
 
+class _LazyOutput:
+    """The file at ``path``, opened (and so truncated) on the first write."""
+
+    def __init__(self, path: str) -> None:
+        self.path, self.fh = path, None
+
+    def write(self, text: str) -> int:
+        if self.fh is None:
+            self.fh = open(self.path, "w", encoding="utf-8")
+        return self.fh.write(text)
+
+
 @contextlib.contextmanager
 def _open_output(path: str | None):
+    """stdout, or ``path`` opened on the first write, so an error raised
+    before any output leaves an existing file untouched."""
     if path is None:
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
+        return
+    out = _LazyOutput(path)
+    try:
+        yield out
+        out.write("")  # a command that wrote nothing still creates the file
+    finally:
+        if out.fh is not None:
+            out.fh.close()
 
 
 def _load_reference(cfg: RunConfig) -> reference.ReferenceTable | None:
@@ -238,10 +246,7 @@ def cmd_constants(cfg: RunConfig, out: IO[str]) -> None:
 
 def cmd_predict(cfg: RunConfig, out: IO[str]) -> None:
     fn, needs_pi = _PREDICT_MODELS[cfg.predict_model]
-    if needs_pi:
-        value = fn(cfg.x, cfg.pi_x)
-    else:
-        value = fn(cfg.x)
+    value = fn(cfg.x, cfg.pi_x) if needs_pi else fn(cfg.x)
     out.write(f"{_fmt(value)}\n")
 
 
@@ -252,8 +257,7 @@ def _predicted_gap(cfg: RunConfig, x: int, pi_at: dict[int, int]) -> float:
             if x <= cfg.limit:
                 return heuristics.g_wolf(x, pi_at[x])
             return heuristics.g_gauss(x)
-        model = GapModel(GapModelKind(cfg.model))
-        return model.evaluate(x, pi_at.get(x))
+        return GapModel(GapModelKind(cfg.model))(x, pi_at.get(x))
     except DomainError:
         return math.nan
 
@@ -392,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--emit-gnuplot", dest="emit_gnuplot", default=None,
                        help="also write a gnuplot script to this path")
         if name == "figure1":
-            p.add_argument("--model", choices=_FIGURE_MODELS, default="auto")
+            p.add_argument("--model", choices=("auto", *(k.value for k in GapModelKind)),
+                           default="auto")
             p.add_argument("--g-source", dest="g_source", choices=("model", "empirical"),
                            default="model", help="feed the kernel the modelled or the observed gap")
 

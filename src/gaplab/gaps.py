@@ -37,10 +37,9 @@ are built as integers only where a fold needs them:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -417,24 +416,6 @@ def top_andrica(limit: int, k: int, **kwargs) -> list[AndricaPoint]:
     result = scan_gaps(limit, top_k=k, **kwargs)
     assert result.top is not None
     return list(result.top)
-
-
-def empirical_R(table: GapRecordTable) -> list[tuple[int, float]]:
-    """(x, R) per record: the sqrt-difference achieved at each record pair."""
-    return [(rec.p_L, rec.r) for rec in table.records]
-
-
-def andrica_envelope(limit: int, **kwargs) -> list[tuple[int, float]]:
-    """Running maximum of the Andrica difference: the points where it increases."""
-    return list(scan_gaps(limit, **kwargs).envelope)
-
-
-def envelope_value(envelope: Sequence[tuple[int, float]], x: int) -> float:
-    """Envelope value at x: the running maximum over pairs starting at p <= x."""
-    i = bisect_right([p for p, _ in envelope], x)
-    if i == 0:
-        raise ValueError(f"envelope undefined below its first point ({x})")
-    return envelope[i - 1][1]
 
 
 def verify_andrica(limit: int, **kwargs) -> VerifyReport:

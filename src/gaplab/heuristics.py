@@ -10,6 +10,10 @@ Two families of formulas live here:
   prediction, maximal at d = 9), the Shanks counterpart ``r_shanks``
   (maximal at d = 16) and the closed Cramer form ``r_cramer_form``.
 
+``MODELS`` is the one registry of these functions: name -> (function, takes
+pi(x)).  ``GapModel`` evaluates a gap-size form through it, and the CLI
+derives its ``predict`` and ``figure1 --model`` choices from it.
+
 Everything is a pure function of floats.  Integer inputs above 2^53 are
 rounded to the nearest double on entry; that relative error (<= 2^-53) is
 far below every tolerance used downstream.
@@ -18,15 +22,15 @@ The twin-prime constant enters through c' = ln(C2).  Note the additive
 constant in ``g_gauss`` is c' itself, not ln(c'): only that reading makes
 the formula the exact algebraic image of ``g_wolf`` under pi = x/ln x and
 makes the Cramer composition identity hold (both are asserted in the test
-suite).  The ln(c') variant remains available behind ``log_c_prime=`` for
-comparison, but nothing in the package uses it.
+suite).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -115,9 +119,7 @@ def twin_constant(
     )
 
 
-def g_wolf(
-    x: float, pi_x: float, constants: HeuristicConstants = DEFAULT_CONSTANTS
-) -> float:
+def g_wolf(x: float, pi_x: float) -> float:
     """Pi-based maximal-gap size: (x/pi(x)) * (2 ln pi(x) - ln x + c').
 
     ``pi_x`` is normally the exact ``prime_count(x)``; callers may supply
@@ -128,26 +130,16 @@ def g_wolf(
     if x <= 0:
         raise DomainError(f"x must be positive, got {x}")
     x = float(x)
-    return x / pi_x * (2.0 * math.log(pi_x) - math.log(x) + constants.c_prime)
+    return x / pi_x * (2.0 * math.log(pi_x) - math.log(x) + DEFAULT_CONSTANTS.c_prime)
 
 
-def g_gauss(
-    x: float,
-    constants: HeuristicConstants = DEFAULT_CONSTANTS,
-    *,
-    log_c_prime: bool = False,
-) -> float:
-    """Gauss-substituted gap size: ln x * (ln x - 2 ln ln x + c').
-
-    ``log_c_prime=True`` switches the additive constant to ln(c'), kept
-    only for comparison (see module docstring).
-    """
+def g_gauss(x: float) -> float:
+    """Gauss-substituted gap size: ln x * (ln x - 2 ln ln x + c')."""
     x = float(x)
     if x <= math.e:
         raise DomainError(f"g_gauss needs x > e, got {x}")
-    c = math.log(constants.c_prime) if log_c_prime else constants.c_prime
     lx = math.log(x)
-    return lx * (lx - 2.0 * math.log(lx) + c)
+    return lx * (lx - 2.0 * math.log(lx) + DEFAULT_CONSTANTS.c_prime)
 
 
 def g_cramer(x: float) -> float:
@@ -158,14 +150,24 @@ def g_cramer(x: float) -> float:
     return math.log(x) ** 2
 
 
-def granville_bound(
-    p: float, constants: HeuristicConstants = DEFAULT_CONSTANTS
-) -> float:
+def granville_bound(p: float) -> float:
     """Granville's lower gap size for infinitely many pairs: 2 e^(-gamma) ln^2 p."""
     p = float(p)
     if p <= 1:
         raise DomainError(f"granville_bound needs p > 1, got {p}")
-    return constants.granville_coeff * math.log(p) ** 2
+    return DEFAULT_CONSTANTS.granville_coeff * math.log(p) ** 2
+
+
+def _scaled_exp(name: str, d: float, scale: float, exponent: float) -> float:
+    """scale * e^exponent, or a DomainError naming ``name`` and ``d`` where
+    that overflows a double."""
+    try:
+        value = scale * math.exp(exponent)
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise DomainError(f"{name} overflows a double at d = {d}")
+    return value
 
 
 def pf_wolf(d: float) -> float:
@@ -174,7 +176,7 @@ def pf_wolf(d: float) -> float:
     if d <= 0:
         raise DomainError(f"pf_wolf needs d > 0, got {d}")
     rd = math.sqrt(d)
-    return rd * math.exp(rd)
+    return _scaled_exp("pf_wolf", d, rd, rd)
 
 
 def pf_shanks(d: float) -> float:
@@ -182,7 +184,7 @@ def pf_shanks(d: float) -> float:
     d = float(d)
     if d < 0:
         raise DomainError(f"pf_shanks needs d >= 0, got {d}")
-    return math.exp(math.sqrt(d))
+    return _scaled_exp("pf_shanks", d, 1.0, math.sqrt(d))
 
 
 def r_kernel(d: float) -> float:
@@ -209,57 +211,53 @@ def r_cramer_form(x: float) -> float:
     return math.log(x) ** 1.5 / (2.0 * math.sqrt(x))
 
 
+# The one model registry: name -> (function, takes pi(x)).
+MODELS: dict[str, tuple[Callable[..., float], bool]] = {
+    "g_wolf": (g_wolf, True),
+    "g_gauss": (g_gauss, False),
+    "g_cramer": (g_cramer, False),
+    "granville": (granville_bound, False),
+    "pf_wolf": (pf_wolf, False),
+    "pf_shanks": (pf_shanks, False),
+    "r_kernel": (r_kernel, False),
+    "r_shanks": (r_shanks, False),
+    "r_cramer_form": (r_cramer_form, False),
+}
+
+
 class GapModelKind(Enum):
+    """The gap-size forms G(x), by their ``figure1 --model`` names."""
+
     WOLF_EXACT_PI = "wolf_exact_pi"
     WOLF_GAUSS = "wolf_gauss"
     CRAMER = "cramer"
     GRANVILLE = "granville"
 
 
+# The MODELS entry of each gap-size form.
+GAP_FORMS = {
+    GapModelKind.WOLF_EXACT_PI: "g_wolf",
+    GapModelKind.WOLF_GAUSS: "g_gauss",
+    GapModelKind.CRAMER: "g_cramer",
+    GapModelKind.GRANVILLE: "granville",
+}
+
+
 @dataclass(frozen=True)
 class GapModel:
-    """A chosen G(x) form plus the constants it evaluates with."""
+    """A chosen gap-size form G(x), evaluated through ``MODELS``."""
 
     kind: GapModelKind
-    constants: HeuristicConstants = DEFAULT_CONSTANTS
 
     def evaluate(self, x: float, pi_x: float | None = None) -> float:
-        if self.kind is GapModelKind.WOLF_EXACT_PI:
-            if pi_x is None:
-                raise DomainError("wolf_exact_pi requires pi_x")
-            return g_wolf(x, pi_x, self.constants)
-        if self.kind is GapModelKind.WOLF_GAUSS:
-            return g_gauss(x, self.constants)
-        if self.kind is GapModelKind.CRAMER:
-            return g_cramer(x)
-        return granville_bound(x, self.constants)
+        fn, takes_pi = MODELS[GAP_FORMS[self.kind]]
+        if not takes_pi:
+            return fn(x)
+        if pi_x is None:
+            raise DomainError(f"{self.kind.value} requires pi_x")
+        return fn(x, pi_x)
 
-    def __call__(self, x: float, pi_x: float | None = None) -> float:
-        return self.evaluate(x, pi_x)
-
-
-class RModelKind(Enum):
-    MAIN = "main"
-    CRAMER_FORM = "cramer_form"
-    SHANKS_FORM = "shanks_form"
-
-
-@dataclass(frozen=True)
-class RModel:
-    """A sqrt-difference predictor R(x): the main kernel composition, its
-    closed Cramer form, or the Shanks kernel over the Gauss gap size."""
-
-    kind: RModelKind
-    gap_model: GapModel = field(
-        default_factory=lambda: GapModel(GapModelKind.WOLF_EXACT_PI)
-    )
-
-    def evaluate(self, x: float, pi_x: float | None = None) -> float:
-        if self.kind is RModelKind.MAIN:
-            return r_main(x, self.gap_model, pi_x)
-        if self.kind is RModelKind.CRAMER_FORM:
-            return r_cramer_form(x)
-        return r_shanks(g_gauss(x, self.gap_model.constants))
+    __call__ = evaluate
 
 
 def r_main(x: float, gap_model, pi_x: float | None = None) -> float:
@@ -269,58 +267,31 @@ def r_main(x: float, gap_model, pi_x: float | None = None) -> float:
     model's own domain errors propagate; a negative modelled G (possible
     for degenerate small x) is rejected by ``r_kernel``.
     """
-    if isinstance(gap_model, GapModel):
-        g = gap_model.evaluate(x, pi_x)
-    else:
-        g = gap_model(x)
+    g = gap_model(x, pi_x) if isinstance(gap_model, GapModel) else gap_model(x)
     return r_kernel(g)
 
 
-# analytic d/dd of ln(kernel), for the argmax bisection
-_LOG_DERIVATIVES = {
-    r_kernel: lambda d: 0.75 / d - 0.25 / math.sqrt(d),
-    r_shanks: lambda d: 1.0 / d - 0.25 / math.sqrt(d),
-}
-
-_KERNELS_BY_NAME = {"r_kernel": r_kernel, "r_shanks": r_shanks}
+# The kernels (1/2) d^alpha e^(-sqrt(d)/2) by name, with their exponent alpha.
+_KERNELS = {"r_kernel": (r_kernel, 0.75), "r_shanks": (r_shanks, 1.0)}
 
 
 def kernel_argmax(kernel, bounds: tuple[float, float] = (0.0, 100.0)) -> tuple[float, float]:
-    """Locate the maximum of a kernel by bisecting its log-derivative.
+    """Maximum ``(x, kernel(x))`` of ``r_kernel`` or ``r_shanks`` (or their
+    names) over ``bounds``.
 
-    Accepts ``r_kernel`` / ``r_shanks`` (or their names) and returns
-    ``(x_star, value)`` with |x - x*| well below 1e-8.  If the derivative
-    does not change sign inside ``bounds`` the better endpoint is returned
-    (the kernels vanish at 0 and are increasing there, so a short interval
-    like (0, 1) yields its right edge).
+    d/dd ln kernel = alpha/d - 1/(4 sqrt(d)) is positive below
+    d* = (4 alpha)^2 and negative above, so the kernel is unimodal and its
+    maximum over [lo, hi] lies at d* clamped into the bounds: 9 for
+    ``r_kernel``, 16 for ``r_shanks``, and the right edge of a short
+    interval like (0, 1).
     """
-    if isinstance(kernel, str):
-        try:
-            kernel = _KERNELS_BY_NAME[kernel]
-        except KeyError:
-            raise ValueError(f"unknown kernel {kernel!r}") from None
-    try:
-        deriv = _LOG_DERIVATIVES[kernel]
-    except KeyError:
-        raise ValueError("kernel_argmax supports r_kernel and r_shanks") from None
+    for name, (fn, alpha) in _KERNELS.items():
+        if kernel == name or kernel is fn:
+            break
+    else:
+        raise ValueError(f"kernel_argmax supports r_kernel and r_shanks, not {kernel!r}")
     lo, hi = bounds
     if not 0 <= lo < hi:
         raise ValueError(f"invalid bounds {bounds}")
-    a = max(lo, 1e-12)
-    b = hi
-    if deriv(a) <= 0:
-        return (lo, kernel(lo)) if kernel(lo) >= kernel(hi) else (hi, kernel(hi))
-    if deriv(b) >= 0:
-        return b, kernel(b)
-    while b - a > 1e-10:
-        mid = 0.5 * (a + b)
-        s = deriv(mid)
-        if s == 0.0:
-            a = b = mid
-            break
-        if s > 0:
-            a = mid
-        else:
-            b = mid
-    x_star = 0.5 * (a + b)
-    return x_star, kernel(x_star)
+    x = min(max((4.0 * alpha) ** 2, lo), hi)
+    return x, fn(x)

@@ -29,7 +29,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -56,10 +56,6 @@ _WHEEL = 105
 _LARGE_CHUNK = 1 << 20
 
 
-class RangeTooLargeError(ValueError):
-    """A single requested segment exceeds the memory budget."""
-
-
 @dataclass(frozen=True)
 class Segment:
     """Half-open slice ``[lo, hi)`` of the sieving range, ``index`` gives its ordinal."""
@@ -67,12 +63,6 @@ class Segment:
     lo: int
     hi: int
     index: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.lo < self.hi:
-            raise ValueError(f"invalid segment bounds [{self.lo}, {self.hi})")
-        if self.index < 0:
-            raise ValueError("segment index must be >= 0")
 
 
 def _validate_range(lo: int, hi: int) -> None:
@@ -270,21 +260,8 @@ def primes_in_range(
     *,
     segment_length: int | None = None,
     threads: int = 1,
-    auto_split: bool = True,
 ) -> np.ndarray:
-    """All primes p with ``lo <= p < hi``, ascending, as an int64 array.
-
-    Ranges wider than one segment are re-segmented internally unless
-    ``auto_split`` is off, in which case they raise
-    :class:`RangeTooLargeError`.
-    """
-    _validate_range(lo, hi)
-    segment_length = _segment_length(segment_length)
-    if not auto_split and hi - lo > 2 * segment_length:
-        raise RangeTooLargeError(
-            f"range [{lo}, {hi}) spans more than one segment "
-            f"({2 * segment_length} values) and auto_split is disabled"
-        )
+    """All primes p with ``lo <= p < hi``, ascending, as an int64 array."""
     blocks = list(
         iter_prime_blocks(lo, hi, segment_length=segment_length, threads=threads)
     )
@@ -308,75 +285,6 @@ def prime_count(
     for _, _, mask in _iter_masks(0, x, segment_length, threads):
         total += int(np.count_nonzero(mask))
     return total
-
-
-def prime_count_many(
-    xs: Iterable[int],
-    *,
-    segment_length: int | None = None,
-    threads: int = 1,
-) -> dict[int, int]:
-    """``prime_count`` for every x in ``xs``, from a single sieve pass."""
-    targets = sorted(set(int(x) for x in xs))
-    if not targets:
-        return {}
-    if targets[0] < 0:
-        raise ValueError("x must be >= 0")
-    counts: dict[int, int] = {}
-    while targets and targets[0] <= 2:
-        counts[targets.pop(0)] = 0
-    if not targets:
-        return counts
-    running = 1  # the prime 2
-    t = np.asarray(targets, dtype=np.int64)
-    for seg, first, mask in _iter_masks(0, targets[-1], segment_length, threads):
-        inside = t[(t > seg.lo) & (t <= seg.hi)]
-        if inside.size:
-            values = first + 2 * np.flatnonzero(mask)
-            for x, c in zip(inside, np.searchsorted(values, inside, side="left")):
-                counts[int(x)] = running + int(c)
-        running += int(np.count_nonzero(mask))
-    return counts
-
-
-def prime_index(p: int, **kwargs) -> int:
-    """1-based index of the prime p (2 -> 1, 3 -> 2, ...)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return prime_count(p, **kwargs) + 1
-
-
-class PrimeStream:
-    """Iterable view of every prime below ``limit``, in order.
-
-    Iterating yields python ints; :meth:`blocks` exposes the underlying
-    per-segment arrays for vectorized consumers.  Instances are stateless
-    and can be iterated repeatedly or from several threads.
-    """
-
-    def __init__(
-        self,
-        limit: int,
-        *,
-        segment_length: int | None = None,
-        threads: int = 1,
-    ) -> None:
-        _validate_range(0, limit)
-        self.limit = limit
-        self._segment_length = segment_length
-        self._threads = threads
-
-    def blocks(self) -> Iterator[np.ndarray]:
-        return iter_prime_blocks(
-            0,
-            self.limit,
-            segment_length=self._segment_length,
-            threads=self._threads,
-        )
-
-    def __iter__(self) -> Iterator[int]:
-        for block in self.blocks():
-            yield from (int(p) for p in block)
 
 
 def _miller_rabin(n: int) -> bool:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaplab
-from gaplab import cli, gaps
+from gaplab import cli, gaps, heuristics
 from tests.conftest import trial_division_primes
 
 _TABLE1_ORACLE_LIMIT = 50000
@@ -112,6 +112,56 @@ def test_predict_usage_errors(capsys):
     capsys.readouterr()
     assert cli.main(["predict", "g_wolf", "1e6"]) == 2  # missing pi_x
     assert cli.main(["predict", "g_gauss", "2"]) == 2  # outside domain
+    capsys.readouterr()
+    for model in ("pf_shanks", "pf_wolf"):  # e^1000 overflows a double
+        assert cli.main(["predict", model, "1e6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gaplab: {model} overflows a double at d = 1000000.0\n"
+
+
+_PREDICT_CHOICES = [
+    "g_cramer", "g_gauss", "g_wolf", "granville", "pf_shanks", "pf_wolf",
+    "r_cramer_form", "r_kernel", "r_main_cramer", "r_main_gauss",
+    "r_main_granville", "r_main_wolf", "r_shanks",
+]
+
+
+def _choices(subcommand, dest):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.dest == "subcommand")
+    return list(next(a for a in sub.choices[subcommand]._actions if a.dest == dest).choices)
+
+
+def test_model_choices_keep_their_names_and_order():
+    assert _choices("predict", "predict_model") == _PREDICT_CHOICES
+    assert _choices("figure1", "model") == [
+        "auto", "wolf_exact_pi", "wolf_gauss", "cramer", "granville",
+    ]
+
+
+_R_MAIN_FORMS = {
+    "r_main_wolf": heuristics.GapModelKind.WOLF_EXACT_PI,
+    "r_main_gauss": heuristics.GapModelKind.WOLF_GAUSS,
+    "r_main_cramer": heuristics.GapModelKind.CRAMER,
+    "r_main_granville": heuristics.GapModelKind.GRANVILLE,
+}
+
+
+@pytest.mark.parametrize("name", _PREDICT_CHOICES)
+@pytest.mark.parametrize("x,pi_x", [(400, 78), (10**4, 1229), (123456.5, 11601)])
+def test_every_predict_model_prints_its_function(capsys, name, x, pi_x):
+    if name in _R_MAIN_FORMS:
+        takes_pi = name == "r_main_wolf"
+        model = heuristics.GapModel(_R_MAIN_FORMS[name])
+        expected = heuristics.r_main(x, model, pi_x if takes_pi else None)
+    else:
+        fn, takes_pi = heuristics.MODELS[name]
+        expected = fn(x, pi_x) if takes_pi else fn(x)
+    argv = ["predict", name, str(x)] + ([str(pi_x)] if takes_pi else [])
+    rc, out = run(capsys, *argv)
+    assert rc == 0
+    assert out == f"{expected:.12g}\n"
 
 
 @pytest.mark.parametrize("x", ["inf", "nan"])
@@ -253,6 +303,26 @@ def test_usage_errors_leave_the_output_untouched(tmp_path, monkeypatch, capsys, 
     assert cli.main(argv + ["--out", str(keep)]) == 2
     assert keep.read_text() == "keep me\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["records", "--limit", "130", "--ref", "/nonexistent/ref.txt"], 4),
+        (["records", "--limit", "130", "--ref", "bad.txt"], 3),
+        (["figure1", "--limit", "1350", "--ref", "BUNDLED", "--model", "wolf_exact_pi"], 2),
+    ],
+    ids=["missing-ref", "bad-ref", "exact-pi-beyond-limit"],
+)
+def test_early_errors_leave_the_output_untouched(tmp_path, monkeypatch, fixture_path, argv, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.txt").write_text("14 115\n")
+    keep = tmp_path / "keep.csv"
+    keep.write_bytes(b"keep me\n")
+    argv = [fixture_path if a == "BUNDLED" else a for a in argv]
+    assert cli.main(argv) == code
+    assert cli.main(argv + ["--out", str(keep)]) == code
+    assert keep.read_bytes() == b"keep me\n"
 
 
 def test_usage_error_comes_before_an_unwritable_output(capsys):

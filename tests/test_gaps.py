@@ -1,5 +1,5 @@
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -200,17 +200,24 @@ def test_top_andrica_matches_brute_force(limit, k):
     assert got == expected
 
 
+def _envelope_value(envelope, x):
+    """The running maximum of A over the pairs starting at p <= x."""
+    i = bisect_right([p for p, _ in envelope], x)
+    if i == 0:
+        raise ValueError(f"envelope undefined below its first point ({x})")
+    return envelope[i - 1][1]
+
+
 def test_empirical_R_examples():
-    table = gaps.max_gap_records(250)
-    points = dict(gaps.empirical_R(table))
+    points = {rec.p_L: rec.r for rec in gaps.max_gap_records(250).records}
     assert f"{points[113]:.7f}" == "0.6392819"
     assert f"{points[2]:.9f}" == "0.317837245"
 
 
 def test_andrica_envelope():
-    assert f"{gaps.andrica_envelope(10)[-1][1]:.9f}" == "0.504017170"
-    assert f"{gaps.andrica_envelope(12)[-1][1]:.9f}" == "0.670873479"
-    env = gaps.andrica_envelope(10**6)
+    assert f"{gaps.scan_gaps(10).envelope[-1][1]:.9f}" == "0.504017170"
+    assert f"{gaps.scan_gaps(12).envelope[-1][1]:.9f}" == "0.670873479"
+    env = gaps.scan_gaps(10**6).envelope
     assert [p for p, _ in env] == [2, 3, 7]
     assert f"{env[-1][1]:.9f}" == "0.670873479"
     values = [a for _, a in env]
@@ -219,11 +226,11 @@ def test_andrica_envelope():
 
 def test_envelope_dominates_empirical_R():
     table = gaps.max_gap_records(10**5)
-    env = gaps.andrica_envelope(10**5)
-    for x, r in gaps.empirical_R(table):
-        assert r <= gaps.envelope_value(env, x)
+    env = gaps.scan_gaps(10**5).envelope
+    for rec in table.records:
+        assert rec.r <= _envelope_value(env, rec.p_L)
     with pytest.raises(ValueError):
-        gaps.envelope_value(env, 1)
+        _envelope_value(env, 1)
 
 
 def test_verify_andrica():
@@ -425,14 +432,15 @@ def test_pi_at_must_lie_within_the_scan():
             st.integers(min_value=0, max_value=2**62),
             st.one_of(
                 st.integers(min_value=1, max_value=1500),
-                st.integers(min_value=1, max_value=2**62),
+                # p + d stays within int64: at most 2^62 + 2^62 - 1
+                st.integers(min_value=1, max_value=2**62 - 1),
             ),
         ),
         min_size=1,
         max_size=64,
     )
 )
-@example(pairs=[(2**53, 1), (2**53 + 1, 2), (2**53 - 1, 2), (2**62 - 1, 3), (0, 2**62)])
+@example(pairs=[(2**53, 1), (2**53 + 1, 2), (2**53 - 1, 2), (2**62 - 1, 3), (0, 2**62), (2**62, 2**62 - 1)])
 def test_andrica_quotients_match_the_scalar_form_bit_for_bit(pairs):
     # beyond 2^53 the int -> double conversion rounds; both forms must round alike
     p = np.array([x for x, _ in pairs], dtype=np.int64)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaplab import heuristics as h
-from gaplab.heuristics import DomainError, GapModel, GapModelKind, RModel, RModelKind
+from gaplab.heuristics import DomainError, GapModel, GapModelKind
 
 # frozen from a 40-digit mpmath evaluation of the same closed forms
 G_WOLF_1E6_78498 = 114.7038545642796
@@ -80,11 +81,6 @@ def test_g_gauss():
     assert h.g_gauss(1e6) == pytest.approx(G_GAUSS_1E6, rel=1e-13)
     with pytest.raises(DomainError):
         h.g_gauss(math.e)
-    # the ln(c') comparison variant is a different curve
-    assert h.g_gauss(1e6, log_c_prime=True) != h.g_gauss(1e6)
-    lx = math.log(1e6)
-    expected = lx * (lx - 2 * math.log(lx) + math.log(h.DEFAULT_CONSTANTS.c_prime))
-    assert h.g_gauss(1e6, log_c_prime=True) == pytest.approx(expected, rel=1e-15)
 
 
 def test_g_cramer():
@@ -115,6 +111,29 @@ def test_pf_models():
         h.pf_wolf(0)
     with pytest.raises(DomainError):
         h.pf_shanks(-1)
+
+
+_LN_DBL_MAX = math.log(sys.float_info.max)
+
+
+def _wolf_overflow_root() -> float:
+    """The r at which r * e^r reaches DBL_MAX: r + ln r = ln DBL_MAX, by Newton."""
+    r = _LN_DBL_MAX
+    for _ in range(50):
+        r -= (r + math.log(r) - _LN_DBL_MAX) / (1.0 + 1.0 / r)
+    return r
+
+
+@pytest.mark.parametrize(
+    "model,root",
+    [(h.pf_shanks, _LN_DBL_MAX), (h.pf_wolf, _wolf_overflow_root())],
+)
+def test_pf_models_reject_overflow_just_past_it(model, root):
+    # sqrt(d) = root is where the value reaches DBL_MAX
+    assert math.isfinite(model((root * (1 - 1e-12)) ** 2))
+    for d in ((root * (1 + 1e-12)) ** 2, 1e6, 1e300):
+        with pytest.raises(DomainError, match="overflows a double"):
+            model(d)
 
 
 def test_r_kernel_values():
@@ -195,25 +214,41 @@ def test_cramer_composition_identity():
 
 
 def test_kernel_argmax():
-    x_star, value = h.kernel_argmax(h.r_kernel)
-    assert abs(x_star - 9.0) <= 1e-8
-    assert value == pytest.approx(R_KERNEL_9, rel=1e-12)
-
-    x_star, value = h.kernel_argmax(h.r_shanks)
-    assert abs(x_star - 16.0) <= 1e-8
-    assert value == pytest.approx(8 * math.exp(-2), rel=1e-12)
+    assert h.kernel_argmax(h.r_kernel) == (9.0, h.r_kernel(9.0))
+    assert h.kernel_argmax("r_shanks") == (16.0, h.r_shanks(16.0))
+    assert h.kernel_argmax(h.r_kernel)[1] == pytest.approx(R_KERNEL_9, rel=1e-12)
+    assert h.kernel_argmax(h.r_shanks)[1] == pytest.approx(8 * math.exp(-2), rel=1e-12)
 
     # restricted interval: kernel rises on (0, 9), so the boundary wins
     x_star, value = h.kernel_argmax(h.r_kernel, (0.0, 1.0))
     assert x_star == 1.0 and value == h.r_kernel(1.0)
 
-    x_star, _ = h.kernel_argmax("r_shanks")
-    assert abs(x_star - 16.0) <= 1e-8
-
     with pytest.raises(ValueError):
         h.kernel_argmax("nope")
     with pytest.raises(ValueError):
         h.kernel_argmax(h.r_cramer_form)
+    with pytest.raises(ValueError):
+        h.kernel_argmax(h.r_kernel, (5.0, 5.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(["r_kernel", "r_shanks"]),
+    ends=st.tuples(
+        st.floats(min_value=0.0, max_value=400.0), st.floats(min_value=0.0, max_value=400.0)
+    ).filter(lambda t: t[0] != t[1]),
+)
+def test_kernel_argmax_is_the_clamped_closed_form(name, ends):
+    lo, hi = sorted(ends)
+    kernel = getattr(h, name)
+    peak = 9.0 if name == "r_kernel" else 16.0
+    x, value = h.kernel_argmax(name, (lo, hi))
+    assert x == min(max(peak, lo), hi)
+    assert value == kernel(x)
+    # a few ulps of slack: one rounded evaluation near a flat maximum can
+    # land above another whose exact value is larger
+    for g in np.linspace(lo, hi, 401):
+        assert kernel(float(g)) <= value + 4 * math.ulp(value)
 
 
 def test_gap_model_dispatch():
@@ -222,14 +257,12 @@ def test_gap_model_dispatch():
     assert GapModel(GapModelKind.CRAMER)(x) == h.g_cramer(x)
     assert GapModel(GapModelKind.GRANVILLE)(x) == h.granville_bound(x)
     assert GapModel(GapModelKind.WOLF_EXACT_PI)(x, 78498) == h.g_wolf(x, 78498)
-
-
-def test_r_model_dispatch():
-    x = 1e6
-    assert RModel(RModelKind.CRAMER_FORM).evaluate(x) == h.r_cramer_form(x)
-    assert RModel(RModelKind.SHANKS_FORM).evaluate(x) == h.r_shanks(h.g_gauss(x))
-    main = RModel(RModelKind.MAIN)
-    assert main.evaluate(x, pi_x=78498) == pytest.approx(R_MAIN_WOLF_1E6, rel=1e-12)
+    with pytest.raises(DomainError, match="wolf_exact_pi requires pi_x"):
+        GapModel(GapModelKind.WOLF_EXACT_PI)(x)
+    main = GapModel(GapModelKind.WOLF_EXACT_PI)
+    assert h.r_main(x, main, 78498) == pytest.approx(R_MAIN_WOLF_1E6, rel=1e-12)
+    assert set(h.GAP_FORMS) == set(GapModelKind)
+    assert set(h.GAP_FORMS.values()) <= set(h.MODELS)
 
 
 @settings(max_examples=50, deadline=None)

@@ -20,6 +20,9 @@ def test_primes_in_range_tiny():
 
 def test_oracle_equivalence_below_1e5():
     assert sieve.primes_in_range(0, 10**5).tolist() == trial_division_primes(0, 10**5)
+    # a range of exactly one segment
+    got = sieve.primes_in_range(0, 2048, segment_length=1024)
+    assert got.tolist() == trial_division_primes(0, 2048)
 
 
 def test_small_is_prime_matches_trial_division():
@@ -65,20 +68,6 @@ def test_prime_count_examples():
     assert sieve.prime_count(10**6) == 78498
 
 
-def test_prime_count_many_matches_single():
-    xs = [0, 1, 2, 3, 10, 97, 101, 114, 5000, 99991]
-    many = sieve.prime_count_many(xs)
-    assert many == {x: sieve.prime_count(x) for x in xs}
-
-
-def test_prime_index():
-    assert sieve.prime_index(2) == 1
-    assert sieve.prime_index(7) == 4
-    assert sieve.prime_index(113) == 30
-    with pytest.raises(ValueError):
-        sieve.prime_index(8)
-
-
 def test_is_prime_reference_scale():
     # endpoints of the largest published record gap
     assert sieve.is_prime(1425172824437699411)
@@ -103,14 +92,6 @@ def test_threads_do_not_change_results():
     assert np.array_equal(one, four)
 
 
-def test_range_too_large_when_auto_split_disabled():
-    with pytest.raises(sieve.RangeTooLargeError):
-        sieve.primes_in_range(0, 10**6, segment_length=1024, auto_split=False)
-    # exactly one segment is fine
-    got = sieve.primes_in_range(0, 2048, segment_length=1024, auto_split=False)
-    assert got.tolist() == trial_division_primes(0, 2048)
-
-
 def test_invalid_ranges():
     with pytest.raises(ValueError):
         sieve.primes_in_range(10, 10)
@@ -126,18 +107,6 @@ def test_segment_tiling_and_validation():
     for a, b in zip(segs, segs[1:]):
         assert a.hi == b.lo and b.index == a.index + 1
         assert a.hi - a.lo <= 2 * (1 << 14)
-    with pytest.raises(ValueError):
-        sieve.Segment(lo=5, hi=5, index=0)
-    with pytest.raises(ValueError):
-        sieve.Segment(lo=0, hi=5, index=-1)
-
-
-def test_prime_stream():
-    stream = sieve.PrimeStream(100)
-    assert list(stream) == trial_division_primes(0, 100)
-    assert stream.limit == 100
-    # re-iterable
-    assert list(stream) == list(stream)
 
 
 # Windows far from 0, a few thousand values wide.  n/32 is 31 to 62 here (n
