@@ -86,8 +86,7 @@ class RunConfig:
         """Reject bad input before any output is opened or written."""
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        sieve._threads(self.threads)
         if self.subcommand in _SCANS and self.limit < 3:
             raise ValueError("limit must be >= 3")
         if self.subcommand == "constants" and self.prime_limit < 3:
@@ -146,10 +145,13 @@ class _LazyOutput:
 @contextlib.contextmanager
 def _open_output(path: str | None):
     """stdout, or ``path`` opened on the first write, so an error raised
-    before any output leaves an existing file untouched."""
+    before any output leaves an existing file untouched.  Opening ``path``
+    for appending first makes a path that cannot be created fail before the
+    command runs, without truncating it."""
     if path is None:
         yield sys.stdout
         return
+    open(path, "a", encoding="utf-8").close()
     out = _LazyOutput(path)
     try:
         yield out
@@ -183,7 +185,7 @@ def _record_table(cfg: RunConfig) -> tuple[gaps.GapRecordTable, dict[int, int]]:
 def cmd_table1(cfg: RunConfig, out: IO[str]) -> None:
     _header(out, cfg, f"limit={cfg.limit}")
     out.write("p_n,p_n1,d_n,A_n\n")
-    for p_block, q_block in gaps._pair_blocks(cfg.limit, **_scan_kwargs(cfg)):
+    for p_block, q_block in gaps._pairs(cfg.limit, **_scan_kwargs(cfg)):
         for lo in range(0, p_block.size, _TABLE1_CHUNK_ROWS):
             p = p_block[lo : lo + _TABLE1_CHUNK_ROWS]
             q = q_block[lo : lo + _TABLE1_CHUNK_ROWS]
@@ -216,22 +218,23 @@ def cmd_records(cfg: RunConfig, out: IO[str]) -> None:
 
 
 def cmd_first_gaps(cfg: RunConfig, out: IO[str]) -> None:
-    occurrences = gaps.first_occurrences(cfg.limit, **_scan_kwargs(cfg))
+    result = gaps.scan_gaps(cfg.limit, collect_first=True, **_scan_kwargs(cfg))
     _header(out, cfg, f"limit={cfg.limit}")
     out.write("d,p_f\n")
-    for occ in occurrences.values():
-        out.write(f"{occ.d},{occ.p_f}\n")
+    for d, p_f in result.first.items():
+        out.write(f"{d},{p_f}\n")
 
 
 def cmd_verify(cfg: RunConfig, out: IO[str]) -> None:
-    report = gaps.verify_andrica(cfg.limit, **_scan_kwargs(cfg))
-    flag = "true" if report.all_below_one else "false"
-    if report.argmax_pair is None:
-        at = "none"
+    result = gaps.scan_gaps(cfg.limit, **_scan_kwargs(cfg))
+    point = result.max_point  # None only when no pair lies below the limit
+    if point is None:
+        flag, max_a, at = "true", 0.0, "none"
     else:
-        at = f"({report.argmax_pair.p},{report.argmax_pair.q})"
+        flag = "true" if point.a < 1.0 else "false"
+        max_a, at = point.a, f"({point.gap.p},{point.gap.q})"
     out.write(
-        f"all_below_one={flag} max_A={report.max_a:.9f} at={at} count={report.count}\n"
+        f"all_below_one={flag} max_A={max_a:.9f} at={at} count={result.pair_count}\n"
     )
 
 

@@ -22,8 +22,10 @@ bitmap ("Empirical verification of the even Goldbach conjecture and
 computation of prime gaps up to 4*10^18", Math. Comp. 83, 2014).  With
 ``idx`` the indices of the set entries, the gaps are ``2*diff(idx)`` plus one
 gap from the last prime of the previous segment (2 for the first segment),
-and a running count of the primes gives pi(p) of every pair for free.  Primes
-are built as integers only where a fold needs them:
+and a running count of the primes gives pi(p) of every pair for free.  That
+walk over the masks is the only source of pairs: :func:`gap_stream` and the
+CLI's ``table1`` read it too, building (p, q) in the walk's own arrays.  The
+fold builds primes as integers only where it needs them:
 
 * records walk a segment only when its largest gap beats the record;
 * the Andrica quotient is taken only for a segment whose bound
@@ -140,58 +142,57 @@ class GapRecordTable:
 
 
 @dataclass(frozen=True)
-class FirstOccurrence:
-    d: int
-    p_f: int
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    all_below_one: bool
-    max_a: float
-    argmax_pair: PrimeGap | None
-    count: int
-
-
-@dataclass(frozen=True)
 class GapScanResult:
     limit: int
     pair_count: int
     records: tuple[GapRecord, ...]
     envelope: tuple[tuple[int, float], ...]
     max_point: AndricaPoint | None
-    first: dict[int, FirstOccurrence] | None = None
+    first: dict[int, int] | None = None  # gap -> its first p, ascending in the gap
     top: tuple[AndricaPoint, ...] | None = None
     pi: dict[int, int] = field(default_factory=dict)
 
 
-def andrica_diff(gap: PrimeGap) -> float:
-    """Andrica difference of a pair, quotient form (see module docstring)."""
-    return stable_sqrt_diff(gap.p, gap.q)
+def _walk(
+    limit: int, segment_length: int | None, threads: int
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, int]]:
+    """Yield ``(seg_hi, base, idx, d, n)`` for every sieve segment of [0, limit).
 
-
-def _pair_blocks(
-    limit: int,
-    *,
-    segment_length: int | None = None,
-    threads: int = 1,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (p, q) arrays of consecutive-prime pairs with q < limit.
-
-    The last prime of each segment is carried into the next one so gaps
-    spanning segment boundaries are never dropped.
+    The segment's primes are base + 2*idx.  Pair j closes at
+    q_j = base + 2*idx[j] and opens at p_j = q_j - d[j], with pi(p_j) = n + j;
+    the first pair opens at the last prime of the previous segment (2 before
+    the first one), so no gap across a boundary is dropped.  ``idx`` and
+    ``d`` are fresh arrays of the segment, and the carried prime is read
+    before they are yielded, so a consumer may overwrite them.
     """
-    prev: int | None = None
-    for block in sieve.iter_prime_blocks(
-        0, limit, segment_length=segment_length, threads=threads
-    ):
-        if block.size == 0:
-            continue
-        if prev is not None:
-            block = np.concatenate(([prev], block))
-        if block.size >= 2:
-            yield block[:-1], block[1:]
-        prev = int(block[-1])
+    if limit < 3:
+        raise ValueError("limit must be >= 3")
+    prev, n = 2, 0  # last prime before the segment; pi(prev) = pairs so far
+    for _, seg_hi, base, mask in sieve._iter_masks(0, limit, segment_length, threads):
+        idx = np.flatnonzero(mask)
+        d = np.empty_like(idx)  # no temporary, unlike diff(prepend=): d[0] is set below
+        np.subtract(idx[1:], idx[:-1], out=d[1:])
+        d <<= 1
+        if idx.size:
+            d[0] = base + 2 * int(idx[0]) - prev
+            prev = base + 2 * int(idx[-1])
+        yield seg_hi, base, idx, d, n
+        n += idx.size
+
+
+def _pairs(
+    limit: int, segment_length: int | None = None, threads: int = 1
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the (p, q) int64 arrays of the pairs with q < limit, one per segment.
+
+    Both are built in the walk's own arrays of the segment, so no segment
+    holds more than its index and gap arrays.
+    """
+    for _, base, idx, d, _ in _walk(limit, segment_length, threads):
+        q = idx
+        q <<= 1
+        q += base
+        yield np.subtract(q, d, out=d), q
 
 
 def _walk_rising(values: np.ndarray, current: float) -> list[int]:
@@ -263,8 +264,8 @@ def scan_gaps(
     ``pi`` of the result holds the prime count below every record p_L,
     every top-k p and every x of ``pi_at`` (0 <= x <= limit).
     """
-    if limit < 3:
-        raise ValueError("limit must be >= 3")
+    if top_k is not None and top_k < 1:
+        raise ValueError("top_k must be >= 1")
     targets = sorted(set(int(x) for x in pi_at))
     if targets and not 0 <= targets[0] <= targets[-1] <= limit:
         raise ValueError(f"pi_at values must lie in [0, {limit}]")
@@ -272,7 +273,7 @@ def scan_gaps(
     targets = [x for x in targets if x > 2]
     next_target = 0
 
-    prev, n_prev = 2, 0  # last prime before the segment; pi(prev) = pairs so far
+    pair_count = 0
     records: list[GapRecord] = []
     record_g = 0
     envelope: list[tuple[int, float]] = []
@@ -283,19 +284,14 @@ def scan_gaps(
     top: list[tuple[float, int, int, int]] = []  # (a, p, q, pi(p))
     threshold = -math.inf if top_k is not None else math.inf  # k-th best a so far
 
-    for seg, base, mask in sieve._iter_masks(0, limit, segment_length, threads):
-        # the primes of the segment are base + 2*idx; pair j closes at
-        # q_j = base + 2*idx[j] and opens at p_j = q_j - d_j, pi(p_j) = n_prev + j
-        idx = np.flatnonzero(mask)
-        while next_target < len(targets) and targets[next_target] <= seg.hi:
+    for seg_hi, base, idx, d, n_prev in _walk(limit, segment_length, threads):
+        while next_target < len(targets) and targets[next_target] <= seg_hi:
             x = targets[next_target]
             pi[x] = n_prev + 1 + int(np.searchsorted(idx, (x - base + 1) >> 1))
             next_target += 1
+        pair_count = n_prev + idx.size
         if idx.size == 0:
             continue
-        d = np.diff(idx, prepend=0)
-        d <<= 1
-        d[0] = base + 2 * int(idx[0]) - prev
         d_max = int(d.max())
 
         if d_max > record_g:
@@ -315,13 +311,14 @@ def scan_gaps(
             for g, j in _new_gaps(d, seen):
                 first[g] = base + 2 * int(idx[j]) - g
 
-        # Every pair here has p >= prev, and IEEE sqrt, + and / are monotone
-        # under round-to-nearest, so fl(sqrt q) + fl(sqrt p) >= 2 fl(sqrt prev)
-        # and a_j = fl(d_j / that sum) <= fl(d_j / (2 fl(sqrt prev))) =: bound_j.
-        # A pair can enter the envelope (a > env_a) or the top-k
+        # Every pair here has p >= p0, the segment's first p, and IEEE sqrt, +
+        # and / are monotone under round-to-nearest, so fl(sqrt q) + fl(sqrt p)
+        # >= 2 fl(sqrt p0) and a_j = fl(d_j / that sum) <= fl(d_j / (2 fl(sqrt p0)))
+        # =: bound_j.  A pair can enter the envelope (a > env_a) or the top-k
         # (a >= threshold) only if its bound does; after (7, 11) that rules out
         # nearly every segment from its d_max alone.
-        two_root = 2.0 * math.sqrt(prev)
+        p0 = base + 2 * int(idx[0]) - int(d[0])  # the prime carried into the segment
+        two_root = 2.0 * math.sqrt(p0)
         if d_max / two_root > env_a or d_max / two_root >= threshold:
             sel, a = _candidate_quotients(base, idx, d, two_root, env_a, threshold)
 
@@ -352,27 +349,19 @@ def scan_gaps(
                         cut += 1
                     del top[cut:]
 
-        prev = base + 2 * int(idx[-1])
-        n_prev += idx.size
-
     top_points = None
     if top_k is not None:
         top_points = tuple(
             AndricaPoint(gap=PrimeGap(p, q), a=a) for a, p, q, _ in top[:top_k]
         )
         pi.update((p, n) for _, p, _, n in top[:top_k])
-    first_map = None
-    if collect_first:
-        first_map = {
-            d: FirstOccurrence(d=d, p_f=pf) for d, pf in sorted(first.items())
-        }
     return GapScanResult(
         limit=limit,
-        pair_count=n_prev,
+        pair_count=pair_count,
         records=tuple(records),
         envelope=tuple(envelope),
         max_point=max_point,
-        first=first_map,
+        first=dict(sorted(first.items())) if collect_first else None,
         top=top_points,
         pi=pi,
     )
@@ -385,9 +374,7 @@ def gap_stream(
     threads: int = 1,
 ) -> Iterator[PrimeGap]:
     """Consecutive-prime pairs (p, q) with q < limit, ascending in p."""
-    if limit < 3:
-        raise ValueError("limit must be >= 3")
-    for p, q in _pair_blocks(limit, segment_length=segment_length, threads=threads):
+    for p, q in _pairs(limit, segment_length, threads):
         for pi, qi in zip(p.tolist(), q.tolist()):
             yield PrimeGap(pi, qi)
 
@@ -396,40 +383,3 @@ def max_gap_records(limit: int, **kwargs) -> GapRecordTable:
     """The step function of record gaps: every pair whose gap beats all earlier ones."""
     result = scan_gaps(limit, **kwargs)
     return GapRecordTable(records=result.records, source=TableSource.COMPUTED, limit=limit)
-
-
-def first_occurrences(limit: int, **kwargs) -> dict[int, FirstOccurrence]:
-    """For every gap value occurring below limit, the smallest prime opening it."""
-    result = scan_gaps(limit, collect_first=True, **kwargs)
-    assert result.first is not None
-    return result.first
-
-
-def top_andrica(limit: int, k: int, **kwargs) -> list[AndricaPoint]:
-    """The k largest Andrica differences among pairs with q < limit.
-
-    Descending in the difference; exact float ties (possible only through
-    rounding) order by smaller p.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    result = scan_gaps(limit, top_k=k, **kwargs)
-    assert result.top is not None
-    return list(result.top)
-
-
-def verify_andrica(limit: int, **kwargs) -> VerifyReport:
-    """Check every Andrica difference below limit against 1.
-
-    With no pairs below limit the report degenerates to max_a = 0 and no
-    argmax pair.
-    """
-    result = scan_gaps(limit, **kwargs)
-    if result.pair_count == 0 or result.max_point is None:
-        return VerifyReport(all_below_one=True, max_a=0.0, argmax_pair=None, count=result.pair_count)
-    return VerifyReport(
-        all_below_one=result.max_point.a < 1.0,
-        max_a=result.max_point.a,
-        argmax_pair=result.max_point.gap,
-        count=result.pair_count,
-    )

@@ -28,7 +28,6 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -54,15 +53,6 @@ _WHEEL = 105
 # Large base primes are crossed this many at a time, which caps the
 # transient int64 arrays of one segment at a few tens of megabytes.
 _LARGE_CHUNK = 1 << 20
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Half-open slice ``[lo, hi)`` of the sieving range, ``index`` gives its ordinal."""
-
-    lo: int
-    hi: int
-    index: int
 
 
 def _validate_range(lo: int, hi: int) -> None:
@@ -106,7 +96,7 @@ def _grow_base_primes(primes: np.ndarray, cached_bound: int, bound: int) -> np.n
     grown = np.empty(int(1.25506 * bound / math.log(bound)) + 1, dtype=np.int64)
     grown[: primes.size] = primes
     count = primes.size
-    for _, first, mask in _iter_masks(cached_bound + 1, bound + 1, None, threads=1):
+    for _, _, first, mask in _iter_masks(cached_bound + 1, bound + 1, None, threads=1):
         found = np.flatnonzero(mask)
         grown[count : count + found.size] = first + 2 * found
         count += found.size
@@ -115,12 +105,10 @@ def _grow_base_primes(primes: np.ndarray, cached_bound: int, bound: int) -> np.n
     return grown
 
 
-def _segments_for(lo: int, hi: int, segment_length: int) -> list[Segment]:
+def _segments_for(lo: int, hi: int, segment_length: int) -> list[tuple[int, int]]:
+    """The half-open slices ``(lo, hi)`` of the range, in order."""
     span = 2 * segment_length
-    return [
-        Segment(lo=s, hi=min(s + span, hi), index=i)
-        for i, s in enumerate(range(lo, hi, span))
-    ]
+    return [(s, min(s + span, hi)) for s in range(lo, hi, span)]
 
 
 def _first_offsets(primes: np.ndarray, first: int) -> np.ndarray:
@@ -190,6 +178,13 @@ def _segment_length(segment_length: int | None) -> int:
     return segment_length
 
 
+def _threads(threads: int) -> int:
+    """The requested number of sieve threads, which must be at least 1."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    return threads
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on (its affinity set where the OS has one)."""
     if hasattr(os, "sched_getaffinity"):
@@ -202,20 +197,19 @@ def _iter_masks(
     hi: int,
     segment_length: int | None,
     threads: int,
-) -> Iterator[tuple[Segment, int, np.ndarray]]:
-    """Yield ``(segment, first_odd, mask)`` in segment order.
+) -> Iterator[tuple[int, int, int, np.ndarray]]:
+    """Yield ``(seg_lo, seg_hi, first_odd, mask)`` in segment order.
 
     At most ``min(threads, usable CPUs, segments)`` worker threads sieve;
     more could not run at once and would only hold more masks.
     """
     segments = _segments_for(lo, hi, _segment_length(segment_length))
+    workers = min(_threads(threads), _usable_cpus(), len(segments))
     base = _base_primes(math.isqrt(hi - 1))
 
-    def work(seg: Segment) -> tuple[Segment, int, np.ndarray]:
-        first, mask = _odd_mask(seg.lo, seg.hi, base)
-        return seg, first, mask
+    def work(seg: tuple[int, int]) -> tuple[int, int, int, np.ndarray]:
+        return (*seg, *_odd_mask(*seg, base))
 
-    workers = min(threads, _usable_cpus(), len(segments))
     if workers <= 1:
         for seg in segments:
             yield work(seg)
@@ -247,9 +241,9 @@ def iter_prime_blocks(
 ) -> Iterator[np.ndarray]:
     """Yield the primes of ``[lo, hi)`` as one ascending int64 array per segment."""
     _validate_range(lo, hi)
-    for seg, first, mask in _iter_masks(lo, hi, segment_length, threads):
+    for seg_lo, seg_hi, first, mask in _iter_masks(lo, hi, segment_length, threads):
         block = first + 2 * np.flatnonzero(mask)
-        if seg.lo <= 2 < seg.hi:
+        if seg_lo <= 2 < seg_hi:
             block = np.concatenate(([2], block))
         yield block
 
@@ -282,7 +276,7 @@ def prime_count(
     if x <= 2:
         return 0
     total = 1  # the prime 2
-    for _, _, mask in _iter_masks(0, x, segment_length, threads):
+    for _, _, _, mask in _iter_masks(0, x, segment_length, threads):
         total += int(np.count_nonzero(mask))
     return total
 

@@ -82,6 +82,9 @@ def test_verify(capsys):
     rc, out = run(capsys, "verify", "--limit", "1e3")
     assert rc == 0
     assert out == "all_below_one=true max_A=0.670873479 at=(7,11) count=167\n"
+    rc, out = run(capsys, "verify", "--limit", "3")  # no pair below the limit
+    assert rc == 0
+    assert out == "all_below_one=true max_A=0.000000000 at=none count=0\n"
 
 
 def test_constants(capsys):
@@ -323,6 +326,34 @@ def test_early_errors_leave_the_output_untouched(tmp_path, monkeypatch, fixture_
     assert cli.main(argv) == code
     assert cli.main(argv + ["--out", str(keep)]) == code
     assert keep.read_bytes() == b"keep me\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["first-gaps", "--limit", "1e8"],
+        ["table1", "--limit", "114"],
+        ["records", "--limit", "130", "--ref", "bad.txt"],
+        ["figure1", "--limit", "1350", "--ref", "BUNDLED", "--model", "wolf_exact_pi"],
+        ["predict", "pf_wolf", "1e6"],
+    ],
+)
+def test_unwritable_output_fails_before_the_command_runs(
+    tmp_path, monkeypatch, fixture_path, capsys, argv
+):
+    # the output path is checked first, so it also beats a bad --ref or a
+    # domain error of the command
+    from gaplab import sieve
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan started before --out was checked")
+
+    monkeypatch.setattr(sieve, "_iter_masks", no_scan)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.txt").write_text("14 115\n")
+    argv = [fixture_path if a == "BUNDLED" else a for a in argv]
+    assert cli.main(argv + ["--out", str(tmp_path / "missing" / "x.csv")]) == 4
+    assert "No such file or directory" in capsys.readouterr().err
 
 
 def test_usage_error_comes_before_an_unwritable_output(capsys):

@@ -57,6 +57,21 @@ def test_gap_stream_segment_invariance(limit, exponent):
     assert coarse == fine
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    limit=st.integers(min_value=3, max_value=20000),
+    segment=st.integers(min_value=1, max_value=64),
+    threads=st.sampled_from([1, 2]),
+)
+def test_pair_blocks_outlive_their_segment(limit, segment, threads):
+    # p and q are built in the walk's arrays of each segment; blocks kept
+    # until the walk ends must not have been overwritten by later segments
+    blocks = list(gaps._pairs(limit, segment_length=segment, threads=threads))
+    primes = trial_division_primes(0, limit)
+    assert np.concatenate([p for p, _ in blocks]).tolist() == primes[:-1]
+    assert np.concatenate([q for _, q in blocks]).tolist() == primes[1:]
+
+
 def test_prime_gap_validation():
     with pytest.raises(ValueError):
         PrimeGap(7, 7)
@@ -69,7 +84,7 @@ def test_prime_gap_validation():
 
 @pytest.mark.parametrize("p,q,printed", TABLE1_SAMPLES)
 def test_andrica_diff_published_values(p, q, printed):
-    assert f"{gaps.andrica_diff(PrimeGap(p, q)):.9f}" == printed
+    assert f"{gaps.stable_sqrt_diff(p, q):.9f}" == printed
 
 
 def test_andrica_diff_against_extended_precision():
@@ -77,7 +92,7 @@ def test_andrica_diff_against_extended_precision():
     pairs += [(1425172824437699411, 1425172824437699411 + 1476)]
     pairs += [(218034721194214273, 218034721194214273 + 1248)]
     for p, q in pairs:
-        mine = gaps.andrica_diff(PrimeGap(p, q))
+        mine = gaps.stable_sqrt_diff(p, q)
         oracle = sqrt_diff_oracle(p, q)
         assert math.isclose(mine, oracle, rel_tol=1e-14), (p, q)
 
@@ -135,7 +150,7 @@ def test_max_gap_records_at_1e6():
 
 def test_record_r_matches_andrica_diff():
     for rec in gaps.max_gap_records(10**4).records:
-        assert rec.r == gaps.andrica_diff(PrimeGap(rec.p_L, rec.p_L1))
+        assert rec.r == gaps.stable_sqrt_diff(rec.p_L, rec.p_L1)
 
 
 def test_record_table_validation():
@@ -147,10 +162,10 @@ def test_record_table_validation():
 
 
 def test_first_occurrences():
-    first = gaps.first_occurrences(300)
-    assert first[4].p_f == 7
-    assert first[6].p_f == 23
-    assert first[14].p_f == 113
+    first = gaps.scan_gaps(300, collect_first=True).first
+    assert first[4] == 7
+    assert first[6] == 23
+    assert first[14] == 113
     assert list(first) == sorted(first)
 
     # brute force below 1e4
@@ -158,28 +173,28 @@ def test_first_occurrences():
     expected = {}
     for p, q in zip(primes, primes[1:]):
         expected.setdefault(q - p, p)
-    got = gaps.first_occurrences(10**4, segment_length=1 << 10)
-    assert {d: f.p_f for d, f in got.items()} == expected
+    got = gaps.scan_gaps(10**4, collect_first=True, segment_length=1 << 10).first
+    assert got == expected
 
 
 def test_first_occurrence_dominates_later_pairs():
     # every pair with gap d has a difference at most the first pair's
-    first = gaps.first_occurrences(10**5)
+    first = gaps.scan_gaps(10**5, collect_first=True).first
     for g in gaps.gap_stream(10**5):
         lead = first[g.d]
-        assert gaps.andrica_diff(g) <= gaps.stable_sqrt_diff(lead.p_f, lead.p_f + g.d)
+        assert gaps.stable_sqrt_diff(g.p, g.q) <= gaps.stable_sqrt_diff(lead, lead + g.d)
 
 
 def test_top_andrica_examples():
-    top = gaps.top_andrica(250, 3)
+    top = gaps.scan_gaps(250, top_k=3).top
     assert [(t.gap.p, t.gap.q) for t in top] == [(7, 11), (113, 127), (23, 29)]
     assert [f"{t.a:.7f}" for t in top] == ["0.6708735", "0.6392819", "0.5893333"]
 
-    top10 = gaps.top_andrica(250, 10)
+    top10 = gaps.scan_gaps(250, top_k=10).top
     assert (top10[-1].gap.p, top10[-1].gap.q) == (139, 149)
     assert f"{top10[-1].a:.7f}" == "0.4167295"
 
-    only = gaps.top_andrica(6, 1)
+    only = gaps.scan_gaps(6, top_k=1).top
     assert [(t.gap.p, t.gap.q) for t in only] == [(3, 5)]
     assert f"{only[0].a:.9f}" == "0.504017170"
 
@@ -196,7 +211,8 @@ def test_top_andrica_matches_brute_force(limit, k):
         for p, q in zip(primes, primes[1:])
     )
     expected = [(p, q, a) for a, p, q in sorted(scored, key=lambda t: (-t[0], t[1]))][:k]
-    got = [(t.gap.p, t.gap.q, t.a) for t in gaps.top_andrica(limit, k, segment_length=512)]
+    top = gaps.scan_gaps(limit, top_k=k, segment_length=512).top
+    got = [(t.gap.p, t.gap.q, t.a) for t in top]
     assert got == expected
 
 
@@ -234,22 +250,22 @@ def test_envelope_dominates_empirical_R():
 
 
 def test_verify_andrica():
-    report = gaps.verify_andrica(10**3)
-    assert report.all_below_one
-    assert f"{report.max_a:.9f}" == "0.670873479"
-    assert (report.argmax_pair.p, report.argmax_pair.q) == (7, 11)
-    assert report.count == 167  # 168 primes below 1000
+    result = gaps.scan_gaps(10**3)
+    assert result.max_point.a < 1
+    assert f"{result.max_point.a:.9f}" == "0.670873479"
+    assert (result.max_point.gap.p, result.max_point.gap.q) == (7, 11)
+    assert result.pair_count == 167  # 168 primes below 1000
 
-    boundary = gaps.verify_andrica(3)
-    assert boundary.all_below_one and boundary.count == 0
-    assert boundary.argmax_pair is None and boundary.max_a == 0.0
+    boundary = gaps.scan_gaps(3)
+    assert boundary.pair_count == 0
+    assert boundary.max_point is None and boundary.envelope == ()
 
 
 def test_verify_agrees_with_top1():
-    report = gaps.verify_andrica(10**4)
-    top = gaps.top_andrica(10**4, 1)[0]
-    assert report.max_a == top.a
-    assert report.argmax_pair == top.gap
+    point = gaps.scan_gaps(10**4).max_point
+    top = gaps.scan_gaps(10**4, top_k=1).top[0]
+    assert point.a == top.a
+    assert point.gap == top.gap
 
 
 def test_decreasing_tail_proxy():
@@ -280,8 +296,12 @@ def test_scan_rejects_tiny_limits():
         gaps.scan_gaps(2)
     with pytest.raises(ValueError):
         list(gaps.gap_stream(2))
-    with pytest.raises(ValueError):
-        gaps.top_andrica(100, 0)
+    for top_k in (0, -1):
+        with pytest.raises(ValueError, match="top_k must be >= 1"):
+            gaps.scan_gaps(100, top_k=top_k)
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            gaps.scan_gaps(100, threads=threads)
 
 
 # --- the fold on the sieve mask against brute-force rescans -------------------
@@ -324,7 +344,7 @@ def _folded(result):
         "pair_count": result.pair_count,
         "records": [(r.p_L, r.p_L1, r.g, r.r) for r in result.records],
         "envelope": list(result.envelope),
-        "first": {d: f.p_f for d, f in result.first.items()},
+        "first": result.first,
         "top": None if result.top is None else [(t.gap.p, t.gap.q, t.a) for t in result.top],
         "pi": result.pi,
     }
@@ -397,15 +417,15 @@ def test_segment_bound_is_never_below_a_quotient(p0, step, d, extra):
 @pytest.mark.parametrize("start,segment_length", [(1, 64), (2, None), (64, 16)])
 def test_first_occurrences_grow_the_seen_table(monkeypatch, start, segment_length):
     monkeypatch.setattr(gaps, "_SEEN_START", start)
-    got = gaps.first_occurrences(_ORACLE_LIMIT, segment_length=segment_length)
+    got = gaps.scan_gaps(_ORACLE_LIMIT, collect_first=True, segment_length=segment_length)
     expected = _brute_scan(_ORACLE_LIMIT, 1)["first"]
-    assert {d: f.p_f for d, f in got.items()} == expected
+    assert got.first == expected
     # gap 72 first opens at 31397: beyond the default table size
     assert max(expected) > gaps._SEEN_START and expected[72] == 31397
 
 
 def test_default_seen_table_is_outgrown_by_an_ordinary_scan():
-    assert max(gaps.first_occurrences(10**5)) > gaps._SEEN_START
+    assert max(gaps.scan_gaps(10**5, collect_first=True).first) > gaps._SEEN_START
 
 
 def test_prime_index_of_records_and_top_pairs():

@@ -99,14 +99,19 @@ def test_invalid_ranges():
         sieve.primes_in_range(-1, 10)
     with pytest.raises(ValueError):
         sieve.prime_count(-1)
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            sieve.prime_count(10, threads=threads)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            sieve.primes_in_range(0, 10, threads=threads)
 
 
 def test_segment_tiling_and_validation():
     segs = sieve._segments_for(0, 10**6, 1 << 14)
-    assert segs[0].lo == 0 and segs[-1].hi == 10**6
-    for a, b in zip(segs, segs[1:]):
-        assert a.hi == b.lo and b.index == a.index + 1
-        assert a.hi - a.lo <= 2 * (1 << 14)
+    assert segs[0][0] == 0 and segs[-1][1] == 10**6
+    for (lo, hi), (next_lo, _) in zip(segs, segs[1:]):
+        assert hi == next_lo
+        assert hi - lo <= 2 * (1 << 14)
 
 
 # Windows far from 0, a few thousand values wide.  n/32 is 31 to 62 here (n
