@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 import gaplab
-from gaplab import gaps, heuristics, reference, sieve
+from gaplab import gaps, heuristics, reference
 from gaplab.heuristics import DomainError, GapModel, GapModelKind
 
 USAGE_ERROR = 2
@@ -83,17 +83,13 @@ class RunConfig:
     pi_x: float | None = None
 
     def __post_init__(self) -> None:
-        """Reject bad input before any output is opened or written."""
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        sieve._threads(self.threads)
-        if self.subcommand in _SCANS and self.limit < 3:
-            raise ValueError("limit must be >= 3")
-        if self.subcommand == "constants" and self.prime_limit < 3:
-            raise ValueError("prime_limit must be >= 3")
-        if self.segment_length is not None:
-            sieve._segment_length(self.segment_length)
-        if self.subcommand == "predict":
+        """Reject bad input before any output is opened or written: the
+        library's own checks, which sieve nothing, and ``predict``'s input."""
+        if self.subcommand in _SCANS:
+            gaps._scan_plan(self.limit, self.segment_length, self.threads, self.top_k)
+        elif self.subcommand == "constants":
+            heuristics._twin_blocks(self.prime_limit, self.segment_length, self.threads)
+        elif self.subcommand == "predict":
             for name, value in (("x", self.x), ("pi_x", self.pi_x)):
                 if value is not None and not math.isfinite(value):
                     raise DomainError(f"{name} must be finite, got {value}")
@@ -111,7 +107,7 @@ def _parse_count(text: str) -> int:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if value != int(value):
+    if not value.is_integer():  # also nan and inf
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(value)
 

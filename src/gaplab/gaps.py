@@ -118,7 +118,6 @@ class GapRecord:
 
 class TableSource(Enum):
     COMPUTED = "computed"
-    REFERENCE = "reference"
     MERGED = "merged"
 
 
@@ -153,10 +152,25 @@ class GapScanResult:
     pi: dict[int, int] = field(default_factory=dict)
 
 
-def _walk(
-    limit: int, segment_length: int | None, threads: int
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, int]]:
-    """Yield ``(seg_hi, base, idx, d, n)`` for every sieve segment of [0, limit).
+def _scan_plan(
+    limit: int, segment_length: int | None, threads: int,
+    top_k: int | None = None, pi_at: Iterable[int] = (),
+) -> tuple[tuple[range, int], list[int]]:
+    """Check a scan's input; return the sieve plan of [0, limit) and the
+    ascending distinct ``pi_at`` points."""
+    if top_k is not None and top_k < 1:
+        raise ValueError("top_k must be >= 1")
+    targets = sorted(set(int(x) for x in pi_at))
+    if targets and not 0 <= targets[0] <= targets[-1] <= limit:
+        raise ValueError(f"pi_at values must lie in [0, {limit}]")
+    if limit < 3:
+        raise ValueError("limit must be >= 3")
+    return sieve._plan(0, limit, segment_length, threads), targets
+
+
+def _walk(starts: range, workers: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, int]]:
+    """Yield ``(seg_hi, base, idx, d, n)`` for every segment of a scan plan of
+    [0, limit) from :func:`_scan_plan`.
 
     The segment's primes are base + 2*idx.  Pair j closes at
     q_j = base + 2*idx[j] and opens at p_j = q_j - d[j], with pi(p_j) = n + j;
@@ -165,10 +179,8 @@ def _walk(
     ``d`` are fresh arrays of the segment, and the carried prime is read
     before they are yielded, so a consumer may overwrite them.
     """
-    if limit < 3:
-        raise ValueError("limit must be >= 3")
     prev, n = 2, 0  # last prime before the segment; pi(prev) = pairs so far
-    for _, seg_hi, base, mask in sieve._iter_masks(0, limit, segment_length, threads):
+    for _, seg_hi, base, mask in sieve._iter_masks(starts, workers):
         idx = np.flatnonzero(mask)
         d = np.empty_like(idx)  # no temporary, unlike diff(prepend=): d[0] is set below
         np.subtract(idx[1:], idx[:-1], out=d[1:])
@@ -183,16 +195,21 @@ def _walk(
 def _pairs(
     limit: int, segment_length: int | None = None, threads: int = 1
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the (p, q) int64 arrays of the pairs with q < limit, one per segment.
+    """The (p, q) int64 arrays of the pairs with q < limit, one per segment.
 
-    Both are built in the walk's own arrays of the segment, so no segment
-    holds more than its index and gap arrays.
+    The input is checked at the call.  Both are built in the walk's own
+    arrays of the segment, so no segment holds more than its index and gap
+    arrays.
     """
-    for _, base, idx, d, _ in _walk(limit, segment_length, threads):
-        q = idx
-        q <<= 1
-        q += base
-        yield np.subtract(q, d, out=d), q
+    plan, _ = _scan_plan(limit, segment_length, threads)
+    return (_pair_arrays(base, idx, d) for _, base, idx, d, _ in _walk(*plan))
+
+
+def _pair_arrays(base: int, idx: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    q = idx
+    q <<= 1
+    q += base
+    return np.subtract(q, d, out=d), q
 
 
 def _walk_rising(values: np.ndarray, current: float) -> list[int]:
@@ -264,11 +281,7 @@ def scan_gaps(
     ``pi`` of the result holds the prime count below every record p_L,
     every top-k p and every x of ``pi_at`` (0 <= x <= limit).
     """
-    if top_k is not None and top_k < 1:
-        raise ValueError("top_k must be >= 1")
-    targets = sorted(set(int(x) for x in pi_at))
-    if targets and not 0 <= targets[0] <= targets[-1] <= limit:
-        raise ValueError(f"pi_at values must lie in [0, {limit}]")
+    plan, targets = _scan_plan(limit, segment_length, threads, top_k, pi_at)
     pi = {x: 0 for x in targets if x <= 2}
     targets = [x for x in targets if x > 2]
     next_target = 0
@@ -284,7 +297,7 @@ def scan_gaps(
     top: list[tuple[float, int, int, int]] = []  # (a, p, q, pi(p))
     threshold = -math.inf if top_k is not None else math.inf  # k-th best a so far
 
-    for seg_hi, base, idx, d, n_prev in _walk(limit, segment_length, threads):
+    for seg_hi, base, idx, d, n_prev in _walk(*plan):
         while next_target < len(targets) and targets[next_target] <= seg_hi:
             x = targets[next_target]
             pi[x] = n_prev + 1 + int(np.searchsorted(idx, (x - base + 1) >> 1))
@@ -373,10 +386,12 @@ def gap_stream(
     segment_length: int | None = None,
     threads: int = 1,
 ) -> Iterator[PrimeGap]:
-    """Consecutive-prime pairs (p, q) with q < limit, ascending in p."""
-    for p, q in _pairs(limit, segment_length, threads):
-        for pi, qi in zip(p.tolist(), q.tolist()):
-            yield PrimeGap(pi, qi)
+    """Consecutive-prime pairs (p, q) with q < limit, ascending in p; checked at the call."""
+    return (
+        PrimeGap(p, q)
+        for p_block, q_block in _pairs(limit, segment_length, threads)
+        for p, q in zip(p_block.tolist(), q_block.tolist())
+    )
 
 
 def max_gap_records(limit: int, **kwargs) -> GapRecordTable:

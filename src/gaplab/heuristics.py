@@ -91,6 +91,14 @@ def _truncation_tail_bound(prime_limit: int, value: float) -> float:
     return value * sum_bound / (1.0 - u_max)
 
 
+def _twin_blocks(prime_limit: int, segment_length: int | None, threads: int):
+    """The prime blocks of [2, prime_limit), checked at the call.  Past 2 they
+    match those of [3, prime_limit): both cut segments at the same odd numbers."""
+    if prime_limit < 3:
+        raise ValueError("prime_limit must be >= 3")
+    return sieve.iter_prime_blocks(2, prime_limit, segment_length=segment_length, threads=threads)
+
+
 def twin_constant(
     prime_limit: int,
     *,
@@ -101,15 +109,11 @@ def twin_constant(
 
     Accumulated as a sum of log1p terms (direct multiplication of 78k
     factors just below 1 sheds digits), with a certified overestimate of
-    the truncation error in ``tail_bound``.
+    the truncation error in ``tail_bound``.  The empty product at 3 is 2.
     """
-    if prime_limit < 3:
-        raise ValueError("prime_limit must be >= 3")
     partial_sums = []
-    for block in sieve.iter_prime_blocks(
-        3, prime_limit, segment_length=segment_length, threads=threads
-    ):
-        pf = block.astype(np.float64)
+    for block in _twin_blocks(prime_limit, segment_length, threads):
+        pf = block[block.searchsorted(3) :].astype(np.float64)  # the odd primes
         partial_sums.append(float(np.sum(np.log1p(-1.0 / (pf - 1.0) ** 2))))
     value = 2.0 * math.exp(math.fsum(partial_sums))
     return TwinConstantEstimate(

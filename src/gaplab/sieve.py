@@ -16,6 +16,10 @@ Conventions used throughout the package:
   off-by-one here would silently skew every predictor built on top of it.
 * ranges are half-open ``[lo, hi)``.
 
+Every sieve-backed call checks its range, segment length and thread count
+in one place, :func:`_plan`, when it is made.  The plan is a ``range`` of
+segment starts, so its memory depends on neither the limit nor the segment.
+
 Segments are independent once the base primes (<= sqrt(hi)) are known, so
 they may be sieved by a small thread pool; results are always delivered in
 segment order, which keeps every consumer deterministic regardless of the
@@ -55,13 +59,26 @@ _WHEEL = 105
 _LARGE_CHUNK = 1 << 20
 
 
-def _validate_range(lo: int, hi: int) -> None:
+def _plan(lo: int, hi: int, segment_length: int | None, threads: int) -> tuple[range, int]:
+    """Check a sieve request; return its segment starts and worker count.
+
+    More workers than usable CPUs or segments could not run at once and
+    would only hold more masks.
+    """
     if lo < 0 or hi < 0:
         raise ValueError("range bounds must be non-negative")
     if lo >= hi:
         raise ValueError(f"empty or reversed range [{lo}, {hi})")
     if hi > MAX_SIEVE_BOUND:
         raise ValueError(f"sieve range bound {hi} exceeds {MAX_SIEVE_BOUND}")
+    if segment_length is None:
+        segment_length = DEFAULT_SEGMENT_LENGTH
+    elif segment_length < 1:
+        raise ValueError(f"segment length must be >= 1, got {segment_length}")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    starts = range(lo, hi, 2 * segment_length)
+    return starts, min(threads, _usable_cpus(), len(starts))
 
 
 # Odd primes in [11, bound] for the largest bound sieved so far.  Bound and
@@ -96,19 +113,13 @@ def _grow_base_primes(primes: np.ndarray, cached_bound: int, bound: int) -> np.n
     grown = np.empty(int(1.25506 * bound / math.log(bound)) + 1, dtype=np.int64)
     grown[: primes.size] = primes
     count = primes.size
-    for _, _, first, mask in _iter_masks(cached_bound + 1, bound + 1, None, threads=1):
+    for _, _, first, mask in _iter_masks(*_plan(cached_bound + 1, bound + 1, None, 1)):
         found = np.flatnonzero(mask)
         grown[count : count + found.size] = first + 2 * found
         count += found.size
     grown = grown[:count]
     grown.flags.writeable = False
     return grown
-
-
-def _segments_for(lo: int, hi: int, segment_length: int) -> list[tuple[int, int]]:
-    """The half-open slices ``(lo, hi)`` of the range, in order."""
-    span = 2 * segment_length
-    return [(s, min(s + span, hi)) for s in range(lo, hi, span)]
 
 
 def _first_offsets(primes: np.ndarray, first: int) -> np.ndarray:
@@ -169,22 +180,6 @@ def _odd_mask(lo: int, hi: int, base: np.ndarray) -> tuple[int, np.ndarray]:
     return first, mask
 
 
-def _segment_length(segment_length: int | None) -> int:
-    """The requested segment length, or the default for ``None``."""
-    if segment_length is None:
-        return DEFAULT_SEGMENT_LENGTH
-    if segment_length < 1:
-        raise ValueError(f"segment length must be >= 1, got {segment_length}")
-    return segment_length
-
-
-def _threads(threads: int) -> int:
-    """The requested number of sieve threads, which must be at least 1."""
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    return threads
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on (its affinity set where the OS has one)."""
     if hasattr(os, "sched_getaffinity"):
@@ -192,44 +187,31 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _iter_masks(
-    lo: int,
-    hi: int,
-    segment_length: int | None,
-    threads: int,
-) -> Iterator[tuple[int, int, int, np.ndarray]]:
-    """Yield ``(seg_lo, seg_hi, first_odd, mask)`` in segment order.
-
-    At most ``min(threads, usable CPUs, segments)`` worker threads sieve;
-    more could not run at once and would only hold more masks.
-    """
-    segments = _segments_for(lo, hi, _segment_length(segment_length))
-    workers = min(_threads(threads), _usable_cpus(), len(segments))
+def _iter_masks(starts: range, workers: int) -> Iterator[tuple[int, int, int, np.ndarray]]:
+    """Yield ``(seg_lo, seg_hi, first_odd, mask)`` for each segment of a
+    :func:`_plan`, in segment order, sieved by ``workers`` threads."""
+    hi = starts.stop
     base = _base_primes(math.isqrt(hi - 1))
 
-    def work(seg: tuple[int, int]) -> tuple[int, int, int, np.ndarray]:
-        return (*seg, *_odd_mask(*seg, base))
+    def work(seg_lo: int) -> tuple[int, int, int, np.ndarray]:
+        seg_hi = min(seg_lo + starts.step, hi)
+        return (seg_lo, seg_hi, *_odd_mask(seg_lo, seg_hi, base))
 
     if workers <= 1:
-        for seg in segments:
-            yield work(seg)
+        for seg_lo in starts:
+            yield work(seg_lo)
         return
 
     # Bounded look-ahead: keep at most 2*workers segments in flight so a slow
     # consumer never piles up hundreds of masks in memory.
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = []
-        it = iter(segments)
-        for seg in it:
-            pending.append(pool.submit(work, seg))
-            if len(pending) >= 2 * workers:
-                break
-        while pending:
+        pending = [pool.submit(work, seg_lo) for seg_lo in starts[: 2 * workers]]
+        for seg_lo in starts[2 * workers :]:
             done = pending.pop(0).result()
-            nxt = next(it, None)
-            if nxt is not None:
-                pending.append(pool.submit(work, nxt))
+            pending.append(pool.submit(work, seg_lo))
             yield done
+        while pending:
+            yield pending.pop(0).result()
 
 
 def iter_prime_blocks(
@@ -239,13 +221,17 @@ def iter_prime_blocks(
     segment_length: int | None = None,
     threads: int = 1,
 ) -> Iterator[np.ndarray]:
-    """Yield the primes of ``[lo, hi)`` as one ascending int64 array per segment."""
-    _validate_range(lo, hi)
-    for seg_lo, seg_hi, first, mask in _iter_masks(lo, hi, segment_length, threads):
-        block = first + 2 * np.flatnonzero(mask)
-        if seg_lo <= 2 < seg_hi:
-            block = np.concatenate(([2], block))
-        yield block
+    """The primes of ``[lo, hi)`` as one ascending int64 array per segment,
+    lazily: the input is checked at the call, sieving starts at the first next()."""
+    masks = _iter_masks(*_plan(lo, hi, segment_length, threads))
+    return (_primes_of(*segment) for segment in masks)
+
+
+def _primes_of(seg_lo: int, seg_hi: int, first: int, mask: np.ndarray) -> np.ndarray:
+    block = first + 2 * np.flatnonzero(mask)
+    if seg_lo <= 2 < seg_hi:
+        block = np.concatenate(([2], block))
+    return block
 
 
 def primes_in_range(
@@ -256,12 +242,8 @@ def primes_in_range(
     threads: int = 1,
 ) -> np.ndarray:
     """All primes p with ``lo <= p < hi``, ascending, as an int64 array."""
-    blocks = list(
-        iter_prime_blocks(lo, hi, segment_length=segment_length, threads=threads)
-    )
-    if not blocks:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(blocks)
+    blocks = iter_prime_blocks(lo, hi, segment_length=segment_length, threads=threads)
+    return np.concatenate(list(blocks))  # a valid range has at least one block
 
 
 def prime_count(
@@ -273,10 +255,9 @@ def prime_count(
     """Number of primes strictly below x."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    if x <= 2:
-        return 0
-    total = 1  # the prime 2
-    for _, _, _, mask in _iter_masks(0, x, segment_length, threads):
+    plan = _plan(0, max(x, 1), segment_length, threads)  # x = 0 plans [0, 1): no prime
+    total = int(x > 2)  # the prime 2, which the odd-only masks leave out
+    for _, _, _, mask in _iter_masks(*plan):
         total += int(np.count_nonzero(mask))
     return total
 

@@ -37,6 +37,18 @@ def sqrt_diff_oracle(p: int, q: int) -> float:
         return float(mp_sqrt(mpf(q)) - mp_sqrt(mpf(p)))
 
 
+@pytest.fixture
+def no_sieve(monkeypatch):
+    """Make any segment mask or base prime computed by the sieve fail the test."""
+    from gaplab import sieve
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the sieve ran")
+
+    monkeypatch.setattr(sieve, "_odd_mask", fail)
+    monkeypatch.setattr(sieve, "_base_primes", fail)
+
+
 @pytest.fixture(scope="session")
 def bundled_table():
     from gaplab import reference

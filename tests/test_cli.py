@@ -280,6 +280,7 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.main(["table1", "--limit", "114", "--out", "/nonexistent/x.csv"]) == 4
     assert cli.main(["nosuchcommand"]) == 2
     assert cli.main(["table1", "--limit", "2"]) == 2  # below the minimum scan bound
+    assert cli.main(["constants", "--prime-limit", "3"]) == 0  # the empty product, C2=2
     missing = tmp_path / "missing.txt"
     assert cli.main(["records", "--limit", "130", "--ref", str(missing)]) == 4
 
@@ -293,11 +294,14 @@ def test_exit_codes(tmp_path, capsys):
         ["records", "--limit", "-1", "--segment", "-5"],
         ["figure2", "--limit", "1", "--emit-gnuplot", "never.gp"],
         ["constants", "--prime-limit", "2"],
+        ["verify", "--limit", "1e19"],
+        ["verify", "--limit", "1e400"],
+        ["table1", "--limit", "9223372036854775808"],
         ["predict", "g_wolf", "1e6"],
         ["predict", "r_kernel", "nan"],
     ],
 )
-def test_usage_errors_leave_the_output_untouched(tmp_path, monkeypatch, capsys, argv):
+def test_usage_errors_leave_the_output_untouched(tmp_path, monkeypatch, capsys, no_sieve, argv):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
     assert capsys.readouterr().out == ""
@@ -339,16 +343,10 @@ def test_early_errors_leave_the_output_untouched(tmp_path, monkeypatch, fixture_
     ],
 )
 def test_unwritable_output_fails_before_the_command_runs(
-    tmp_path, monkeypatch, fixture_path, capsys, argv
+    tmp_path, monkeypatch, fixture_path, capsys, no_sieve, argv
 ):
     # the output path is checked first, so it also beats a bad --ref or a
     # domain error of the command
-    from gaplab import sieve
-
-    def no_scan(*args, **kwargs):
-        raise AssertionError("the scan started before --out was checked")
-
-    monkeypatch.setattr(sieve, "_iter_masks", no_scan)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.txt").write_text("14 115\n")
     argv = [fixture_path if a == "BUNDLED" else a for a in argv]
@@ -391,6 +389,7 @@ def test_table1_bytes_match_trial_division(limit, segment, threads, chunk_rows):
 def test_bad_segment_length_is_a_usage_error(capsys, segment):
     assert cli.main(["verify", "--limit", "1e6", "--segment", segment]) == 2
     assert cli.main(["table1", "--limit", "114", "--segment", segment]) == 2
+    assert cli.main(["constants", "--prime-limit", "100", "--segment", segment]) == 2
     captured = capsys.readouterr()
     assert "count=" not in captured.out
     assert "segment length must be >= 1" in captured.err
@@ -442,10 +441,10 @@ def test_one_sieve_pass_from_zero(monkeypatch, capsys, fixture_path, command):
     calls = []
     iter_masks = sieve._iter_masks
 
-    def counting(lo, hi, *args, **kwargs):
-        if lo == 0:  # base-prime growth sieves from above 10, not from 0
-            calls.append((lo, hi))
-        return iter_masks(lo, hi, *args, **kwargs)
+    def counting(starts, workers):
+        if starts.start == 0:  # base-prime growth sieves from above 10, not from 0
+            calls.append((starts.start, starts.stop))
+        return iter_masks(starts, workers)
 
     monkeypatch.setattr(sieve, "_iter_masks", counting)
     argv = [command, "--limit", "1e5"] + (["--ref", fixture_path] if command == "figure1" else [])

@@ -35,6 +35,9 @@ def test_default_constants():
 
 
 def test_twin_constant_tiny_products():
+    empty = h.twin_constant(3)  # no prime p with 2 < p < 3
+    assert empty.value == 2.0
+    assert abs(empty.value - float(2 * mpmath.mp.twinprime)) <= empty.tail_bound
     assert h.twin_constant(4).value == 1.5
     assert h.twin_constant(6).value == 1.5 * (1 - 1 / 16)  # 1.40625
 

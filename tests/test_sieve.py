@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -100,18 +101,35 @@ def test_invalid_ranges():
     with pytest.raises(ValueError):
         sieve.prime_count(-1)
     for threads in (0, -3):
-        with pytest.raises(ValueError, match="threads must be >= 1"):
-            sieve.prime_count(10, threads=threads)
+        for x in (10, 2):  # x <= 2 is checked like any other x
+            with pytest.raises(ValueError, match="threads must be >= 1"):
+                sieve.prime_count(x, threads=threads)
         with pytest.raises(ValueError, match="threads must be >= 1"):
             sieve.primes_in_range(0, 10, threads=threads)
+    with pytest.raises(ValueError, match="segment length must be >= 1"):
+        sieve.prime_count(1, segment_length=0)
 
 
 def test_segment_tiling_and_validation():
-    segs = sieve._segments_for(0, 10**6, 1 << 14)
+    masks = sieve._iter_masks(*sieve._plan(0, 10**6, 1 << 14, 1))
+    segs = [(lo, hi) for lo, hi, _, _ in masks]
     assert segs[0][0] == 0 and segs[-1][1] == 10**6
     for (lo, hi), (next_lo, _) in zip(segs, segs[1:]):
         assert hi == next_lo
         assert hi - lo <= 2 * (1 << 14)
+
+
+@pytest.mark.parametrize("hi,segment_length", [(10**18, None), (10**9, 1)])
+def test_segment_plan_stays_flat(no_sieve, hi, segment_length):
+    tracemalloc.start()
+    try:
+        starts, workers = sieve._plan(0, hi, segment_length, 2)
+        sieve.iter_prime_blocks(0, hi, segment_length=segment_length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert starts.stop == hi and workers >= 1
 
 
 # Windows far from 0, a few thousand values wide.  n/32 is 31 to 62 here (n
