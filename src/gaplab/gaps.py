@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -83,14 +82,6 @@ class PrimeGap:
     p: int
     q: int
 
-    def __post_init__(self) -> None:
-        if self.q <= self.p:
-            raise ValueError(f"gap pair needs q > p, got ({self.p}, {self.q})")
-        if self.p == 2 and self.q != 3:
-            raise ValueError("the only gap from 2 is (2, 3)")
-        if self.p > 2 and (self.q - self.p) % 2:
-            raise ValueError(f"odd gap between odd primes: ({self.p}, {self.q})")
-
     @property
     def d(self) -> int:
         return self.q - self.p
@@ -111,23 +102,12 @@ class GapRecord:
     g: int
     r: float
 
-    def __post_init__(self) -> None:
-        if self.p_L1 - self.p_L != self.g:
-            raise ValueError(f"record gap mismatch: {self.p_L1} - {self.p_L} != {self.g}")
-
-
-class TableSource(Enum):
-    COMPUTED = "computed"
-    MERGED = "merged"
-
 
 @dataclass(frozen=True)
 class GapRecordTable:
-    """Strictly increasing record list; ``limit`` is the bound below which it is exhaustive."""
+    """Record list, strictly increasing in both the gap and its opening prime."""
 
     records: tuple[GapRecord, ...]
-    source: TableSource
-    limit: int
 
     def __post_init__(self) -> None:
         for prev, cur in zip(self.records, self.records[1:]):
@@ -136,13 +116,9 @@ class GapRecordTable:
                     f"records not strictly increasing at gap {cur.g} after {cur.p_L}"
                 )
 
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 @dataclass(frozen=True)
 class GapScanResult:
-    limit: int
     pair_count: int
     records: tuple[GapRecord, ...]
     envelope: tuple[tuple[int, float], ...]
@@ -369,7 +345,6 @@ def scan_gaps(
         )
         pi.update((p, n) for _, p, _, n in top[:top_k])
     return GapScanResult(
-        limit=limit,
         pair_count=pair_count,
         records=tuple(records),
         envelope=tuple(envelope),
@@ -396,5 +371,4 @@ def gap_stream(
 
 def max_gap_records(limit: int, **kwargs) -> GapRecordTable:
     """The step function of record gaps: every pair whose gap beats all earlier ones."""
-    result = scan_gaps(limit, **kwargs)
-    return GapRecordTable(records=result.records, source=TableSource.COMPUTED, limit=limit)
+    return GapRecordTable(records=scan_gaps(limit, **kwargs).records)

@@ -54,7 +54,6 @@ class HeuristicConstants:
 
     C2: float = TWIN_PRIME_C2
     c_prime: float = math.log(TWIN_PRIME_C2)
-    euler_gamma: float = EULER_GAMMA
     granville_coeff: float = 2.0 * math.exp(-EULER_GAMMA)
 
     @classmethod
@@ -68,7 +67,6 @@ DEFAULT_CONSTANTS = HeuristicConstants()
 @dataclass(frozen=True)
 class TwinConstantEstimate:
     value: float
-    prime_limit: int
     tail_bound: float
 
 
@@ -118,7 +116,6 @@ def twin_constant(
     value = 2.0 * math.exp(math.fsum(partial_sums))
     return TwinConstantEstimate(
         value=value,
-        prime_limit=prime_limit,
         tail_bound=_truncation_tail_bound(prime_limit, value),
     )
 
@@ -253,15 +250,13 @@ class GapModel:
 
     kind: GapModelKind
 
-    def evaluate(self, x: float, pi_x: float | None = None) -> float:
+    def __call__(self, x: float, pi_x: float | None = None) -> float:
         fn, takes_pi = MODELS[GAP_FORMS[self.kind]]
         if not takes_pi:
             return fn(x)
         if pi_x is None:
             raise DomainError(f"{self.kind.value} requires pi_x")
         return fn(x, pi_x)
-
-    __call__ = evaluate
 
 
 def r_main(x: float, gap_model, pi_x: float | None = None) -> float:

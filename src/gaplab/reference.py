@@ -6,7 +6,8 @@ prime that opens the gap), ``#`` comments, blank lines ignored, gaps in
 increasing order.  Every entry is primality-checked on parse: both ends of
 the gap are prime and every odd number strictly between them is composite.
 The deterministic 64-bit test makes that cheap and it catches
-transcription errors immediately.
+transcription errors immediately; a record past its range (p + gap above
+2^64 - 1) is a parse error.
 
 A bundled 75-record fixture ships in ``gaplab/data/maximal_gaps.txt``; its
 prefix is reproduced exactly by the package's own record scanner up to any
@@ -15,12 +16,12 @@ sieve limit, which is asserted in the acceptance suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Iterable
 
-from gaplab.gaps import GapRecord, GapRecordTable, TableSource, stable_sqrt_diff
-from gaplab.sieve import is_prime
+from gaplab.gaps import GapRecord, GapRecordTable, stable_sqrt_diff
+from gaplab.sieve import MAX_PRIME_INPUT, is_prime
 
 
 class ReferenceTableError(ValueError):
@@ -46,10 +47,6 @@ class ReferenceTable:
     """Validated (gap, opening prime) records, ascending in both coordinates."""
 
     records: tuple[tuple[int, int], ...]
-    provenance: str = "unspecified"
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def _validate_records(records: list[tuple[int, int]]) -> None:
@@ -70,10 +67,7 @@ def _validate_records(records: list[tuple[int, int]]) -> None:
         last_g, last_p = g, p
 
 
-def parse_reference_table(
-    text: str | IO[str] | Iterable[str],
-    provenance: str = "unspecified",
-) -> ReferenceTable:
+def parse_reference_table(text: str | IO[str] | Iterable[str]) -> ReferenceTable:
     """Parse and validate a record table from text (string, file or lines)."""
     if hasattr(text, "read"):
         lines = text.read().splitlines()
@@ -94,17 +88,12 @@ def parse_reference_table(
             g, p = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(line_no, f"non-integer field in {raw.strip()!r}") from None
-        if g < 1 or p < 2:
+        if g < 1 or p < 2 or p + g > MAX_PRIME_INPUT:
             raise ParseError(line_no, f"out-of-range record ({g}, {p})")
         records.append((g, p))
 
     _validate_records(records)
-    return ReferenceTable(records=tuple(records), provenance=provenance)
-
-
-def serialize_reference_table(table: ReferenceTable) -> str:
-    """Canonical form: one 'gap prime' per line, single spaces, trailing newline."""
-    return "".join(f"{g} {p}\n" for g, p in table.records)
+    return ReferenceTable(records=tuple(records))
 
 
 _BUNDLED_NAME = "maximal_gaps.txt"
@@ -113,14 +102,7 @@ _BUNDLED_NAME = "maximal_gaps.txt"
 def load_bundled_table() -> ReferenceTable:
     """The packaged 75-record maximal-gap list (validated on every load)."""
     text = resources.files("gaplab").joinpath(f"data/{_BUNDLED_NAME}").read_text()
-    return parse_reference_table(
-        text,
-        provenance=(
-            "bundled data/maximal_gaps.txt: first 75 maximal prime gap records, "
-            "compiled from the published tables of T. R. Nicely and "
-            "T. Oliveira e Silva (list state circa 2010)"
-        ),
-    )
+    return parse_reference_table(text)
 
 
 def merge_records(computed: GapRecordTable, reference: ReferenceTable) -> GapRecordTable:
@@ -128,12 +110,7 @@ def merge_records(computed: GapRecordTable, reference: ReferenceTable) -> GapRec
 
     Where both cover a gap value the opening primes must agree exactly;
     any mismatch raises :class:`ConsistencyError` listing every offender.
-    The merged table is exhaustive up to max(computed.limit, end of the
-    last reference record + 1).
     """
-    if computed.source is not TableSource.COMPUTED:
-        raise ValueError("merge_records expects a computed table on the left")
-
     by_gap: dict[int, int] = {rec.g: rec.p_L for rec in computed.records}
     mismatches = []
     for g, p in reference.records:
@@ -150,12 +127,8 @@ def merge_records(computed: GapRecordTable, reference: ReferenceTable) -> GapRec
     for g in sorted(by_gap):
         p = by_gap[g]
         merged.append(GapRecord(p_L=p, p_L1=p + g, g=g, r=stable_sqrt_diff(p, p + g)))
-    limit = computed.limit
-    if reference.records:
-        g_last, p_last = reference.records[-1]
-        limit = max(limit, p_last + g_last + 1)
     try:
-        return GapRecordTable(records=tuple(merged), source=TableSource.MERGED, limit=limit)
+        return GapRecordTable(records=tuple(merged))
     except ValueError as exc:
         raise ConsistencyError(f"merged table is not a record table: {exc}") from None
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import time
 from bisect import bisect_left
 from importlib import resources
 from unittest import mock
@@ -62,6 +63,7 @@ def test_table2(capsys):
 def test_records_plain_and_merged(capsys, fixture_path):
     rc, out = run(capsys, "records", "--limit", "130")
     assert rc == 0
+    assert out.splitlines()[1] == "# limit=130 source=computed ref=-"
     rows = data_rows(out)
     assert len(rows) == 6
     assert rows[0].startswith("1,2,3,")
@@ -69,6 +71,7 @@ def test_records_plain_and_merged(capsys, fixture_path):
 
     rc, out = run(capsys, "records", "--limit", "130", "--ref", fixture_path)
     assert rc == 0
+    assert out.splitlines()[1] == f"# limit=130 source=merged ref={fixture_path}"
     assert len(data_rows(out)) == 75
 
 
@@ -276,7 +279,10 @@ def test_exit_codes(tmp_path, capsys):
     bad_ref = tmp_path / "bad.txt"
     bad_ref.write_text("14 115\n")
     assert cli.main(["records", "--limit", "130", "--ref", str(bad_ref)]) == 3
-    capsys.readouterr()
+    past_64_bits = tmp_path / "past.txt"
+    past_64_bits.write_text("# p + g >= 2^64\n60 18446744073709551557\n")
+    assert cli.main(["records", "--limit", "130", "--ref", str(past_64_bits)]) == 3
+    assert "line 2: out-of-range record" in capsys.readouterr().err
     assert cli.main(["table1", "--limit", "114", "--out", "/nonexistent/x.csv"]) == 4
     assert cli.main(["nosuchcommand"]) == 2
     assert cli.main(["table1", "--limit", "2"]) == 2  # below the minimum scan bound
@@ -406,7 +412,14 @@ def test_scientific_notation_limits(capsys):
     rc, out = run(capsys, "verify", "--limit", "1000")
     rc2, out2 = run(capsys, "verify", "--limit", "1e3")
     assert (rc, out) == (rc2, out2)
-    assert cli.main(["verify", "--limit", "12.5"]) == 2
+    assert cli._parse_count("12345678901234567e0") == 12345678901234567  # past 2^53
+    assert cli._parse_count("1.5e9") == 1500000000
+    for text in ("nan", "inf", "1e-3", "12.5"):
+        assert cli.main(["verify", "--limit", text]) == 2
+    start = time.perf_counter()
+    assert cli.main(["verify", "--limit", "1e999999999"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "out of range" in capsys.readouterr().err
 
 
 def test_output_file_writing(tmp_path, capsys):

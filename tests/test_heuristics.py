@@ -31,7 +31,7 @@ def test_default_constants():
     assert f"{c.c_prime:.8f}" == "0.27787688"
     assert 1.1229 < c.granville_coeff < 1.1230
     assert f"{c.granville_coeff:.5f}" == "1.12292"
-    assert f"{c.euler_gamma:.15f}" == "0.577215664901533"
+    assert f"{h.EULER_GAMMA:.15f}" == "0.577215664901533"
 
 
 def test_twin_constant_tiny_products():

@@ -1,11 +1,8 @@
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gaplab import gaps, reference
-from gaplab.gaps import GapRecord, GapRecordTable, TableSource
 from gaplab.reference import (
     ConsistencyError,
     ParseError,
@@ -14,7 +11,6 @@ from gaplab.reference import (
     merge_records,
     parse_reference_table,
     r_points_from_reference,
-    serialize_reference_table,
 )
 from tests.conftest import sqrt_diff_oracle
 
@@ -26,9 +22,8 @@ def test_parse_single_line():
 
 def test_parse_comments_blanks_and_tabs():
     text = "# header\n\n1 2\n2\t3   # trailing comment\n\n  4   7\n"
-    table = parse_reference_table(text, provenance="inline")
+    table = parse_reference_table(text)
     assert table.records == ((1, 2), (2, 3), (4, 7))
-    assert table.provenance == "inline"
 
 
 def test_parse_accepts_file_objects(tmp_path):
@@ -40,7 +35,11 @@ def test_parse_accepts_file_objects(tmp_path):
 
 @pytest.mark.parametrize(
     "line",
-    ["14", "14 113 7", "14 x113", "fourteen 113", "0 2", "2 1"],
+    [
+        "14", "14 113 7", "14 x113", "fourteen 113", "0 2", "2 1",
+        "60 18446744073709551557",  # p + g >= 2^64, past the primality test's range
+        "2 99999999999999999999",
+    ],
 )
 def test_parse_errors_carry_line_numbers(line):
     with pytest.raises(ParseError) as info:
@@ -62,32 +61,10 @@ def test_non_monotone_is_a_validation_error():
         parse_reference_table("4 7\n6 5\n")  # gap up, prime down
 
 
-def test_round_trip_canonical():
-    text = "# c\n1 2\n\n2\t3\n4    7\n"
-    table = parse_reference_table(text)
-    canonical = serialize_reference_table(table)
-    assert canonical == "1 2\n2 3\n4 7\n"
-    assert parse_reference_table(canonical).records == table.records
-    # canonical form is a fixed point
-    assert serialize_reference_table(parse_reference_table(canonical)) == canonical
-
-
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_round_trip_on_fixture_slices(bundled_table, data):
-    n = len(bundled_table.records)
-    start = data.draw(st.integers(min_value=0, max_value=n - 1))
-    stop = data.draw(st.integers(min_value=start + 1, max_value=n))
-    sub = ReferenceTable(records=bundled_table.records[start:stop])
-    text = serialize_reference_table(sub)
-    assert parse_reference_table(text).records == sub.records
-
-
 def test_bundled_table(bundled_table):
-    assert len(bundled_table) == 75
+    assert len(bundled_table.records) == 75
     assert bundled_table.records[0] == (1, 2)
     assert bundled_table.records[-1] == (1476, 1425172824437699411)
-    assert "maximal_gaps.txt" in bundled_table.provenance
 
 
 def test_bundled_prefix_matches_computed_records(bundled_table):
@@ -100,11 +77,8 @@ def test_bundled_prefix_matches_computed_records(bundled_table):
 def test_merge_with_bundled(bundled_table):
     computed = gaps.max_gap_records(10**6)
     merged = merge_records(computed, bundled_table)
-    assert merged.source is TableSource.MERGED
     assert len(merged.records) == 75
     assert [(r.g, r.p_L) for r in merged.records] == list(bundled_table.records)
-    last_g, last_p = bundled_table.records[-1]
-    assert merged.limit == last_p + last_g + 1
 
 
 def test_merge_with_empty_reference():
@@ -113,7 +87,6 @@ def test_merge_with_empty_reference():
     assert [(r.g, r.p_L) for r in merged.records] == [
         (r.g, r.p_L) for r in computed.records
     ]
-    assert merged.limit == computed.limit
 
 
 def test_merge_conflict():
@@ -121,13 +94,6 @@ def test_merge_conflict():
     clash = ReferenceTable(records=((14, 127),))  # built directly; cannot parse
     with pytest.raises(ConsistencyError, match=r"gap 14: computed p=113, reference p=127"):
         merge_records(computed, clash)
-
-
-def test_merge_rejects_non_computed_left():
-    computed = gaps.max_gap_records(130)
-    merged = merge_records(computed, ReferenceTable(records=()))
-    with pytest.raises(ValueError):
-        merge_records(merged, ReferenceTable(records=()))
 
 
 def test_merge_rejects_semantic_breaks():
