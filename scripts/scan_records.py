@@ -3,44 +3,56 @@
 against the bundled published list.
 
 With --limit 1e9 (about 3.5 s on one core) this reproduces the first 30 published
-records exactly; any divergence is printed and exits nonzero.
+records exactly; any divergence is printed and exits 1.  Exit codes follow the
+gaplab CLI otherwise: 2 for a bad --limit or --threads, 4 when the output
+cannot be written (a closed pipe, say).
 """
 
 import argparse
+import os
+import sys
 import time
 
 from gaplab import gaps, reference
-from gaplab.cli import _parse_count
+from gaplab.cli import IO_ERROR, _parse_count
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--limit", type=_parse_count, default=10**8)
-    ap.add_argument("--segment", type=_parse_count, default=None,
-                    help="sieve segment length in odd entries (default: the library default)")
     ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
-    t0 = time.perf_counter()
-    table = gaps.max_gap_records(
-        args.limit, segment_length=args.segment, threads=args.threads
-    )
-    elapsed = time.perf_counter() - t0
+    try:
+        gaps._scan_plan(args.limit, args.threads)  # the library's own checks; sieves nothing
+    except ValueError as exc:
+        ap.error(str(exc))
 
-    print(f"# {len(table.records)} records below {args.limit} ({elapsed:.2f}s)")
-    print(f"{'g':>6} {'p_L':>20} {'R':>14}")
-    for rec in table.records:
-        print(f"{rec.g:>6} {rec.p_L:>20} {rec.r:>14.6g}")
+    t0 = time.perf_counter()
+    table = gaps.max_gap_records(args.limit, threads=args.threads)
+    elapsed = time.perf_counter() - t0
 
     bundled = reference.load_bundled_table()
     expected = [(g, p) for g, p in bundled.records if p + g < args.limit]
     got = [(rec.g, rec.p_L) for rec in table.records]
-    if got == expected:
-        print(f"# matches the published list prefix ({len(expected)} records)")
-    else:
-        print("# MISMATCH against the published list:")
-        print(f"#   computed : {got}")
-        print(f"#   published: {expected}")
+    try:
+        print(f"# {len(table.records)} records below {args.limit} ({elapsed:.2f}s)")
+        print(f"{'g':>6} {'p_L':>20} {'R':>14}")
+        for rec in table.records:
+            print(f"{rec.g:>6} {rec.p_L:>20} {rec.r:>14.6g}")
+        if got == expected:
+            print(f"# matches the published list prefix ({len(expected)} records)")
+        else:
+            print("# MISMATCH against the published list:")
+            print(f"#   computed : {got}")
+            print(f"#   published: {expected}")
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"{ap.prog}: {exc}", file=sys.stderr)
+        # the interpreter flushes stdout again at exit; let that write go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(IO_ERROR)
+    if got != expected:
         raise SystemExit(1)
 
 

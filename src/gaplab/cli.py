@@ -13,9 +13,9 @@ Subcommands::
     figure2     (x, observed R, Cramer form, Shanks form) per record
 
 Every CSV starts with '#'-prefixed metadata followed by a column-name row.
-Output bytes depend only on the semantic parameters (never on --threads or
---segment), so reruns diff clean.  Exit codes: 0 ok, 2 usage, 3 bad or
-inconsistent data, 4 I/O.
+Output bytes depend only on the semantic parameters (never on --threads),
+so reruns diff clean.  Exit codes: 0 ok, 2 usage, 3 bad or inconsistent
+data, 4 I/O.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ _MAX_COUNT = 2**64 - 1
 
 # Most rows table1 formats and writes at once: enough to amortise the numpy
 # and write calls, few enough that a chunk's arrays, Python objects and joined
-# text stay near 1 MB whatever the segment length.
+# text stay near 1 MB.
 _TABLE1_CHUNK_ROWS = 1 << 13
 
 
@@ -77,7 +77,6 @@ class RunConfig:
     g_source: str = "model"
     reference_path: str | None = None
     output_path: str | None = None
-    segment_length: int | None = None
     threads: int = 1
     prime_limit: int = 10**6
     emit_gnuplot: str | None = None
@@ -89,9 +88,9 @@ class RunConfig:
         """Reject bad input before any output is opened or written: the
         library's own checks, which sieve nothing, and ``predict``'s input."""
         if self.subcommand in _SCANS:
-            gaps._scan_plan(self.limit, self.segment_length, self.threads, self.top_k)
+            gaps._scan_plan(self.limit, self.threads, self.top_k)
         elif self.subcommand == "constants":
-            heuristics._twin_blocks(self.prime_limit, self.segment_length, self.threads)
+            heuristics._twin_blocks(self.prime_limit, self.threads)
         elif self.subcommand == "predict":
             for name, value in (("x", self.x), ("pi_x", self.pi_x)):
                 if value is not None and not math.isfinite(value):
@@ -120,10 +119,6 @@ def _parse_count(text: str) -> int:
     if value != value.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(value)
-
-
-def _scan_kwargs(cfg: RunConfig) -> dict:
-    return {"segment_length": cfg.segment_length, "threads": cfg.threads}
 
 
 def _fmt(value: float) -> str:
@@ -178,18 +173,26 @@ def _record_table(cfg: RunConfig) -> tuple[gaps.GapRecordTable, dict[int, int]]:
     """The record table, merged with ``--ref`` if given, and pi(x) for every
     record x <= limit, all from one scan."""
     ref = _load_reference(cfg)
-    in_reach = [] if ref is None else [p for _, p in ref.records if p <= cfg.limit]
-    result = gaps.scan_gaps(cfg.limit, pi_at=in_reach, **_scan_kwargs(cfg))
+    result = gaps.scan_gaps(cfg.limit, threads=cfg.threads)
     table = gaps.GapRecordTable(records=result.records)
-    if ref is not None:
-        table = reference.merge_records(table, ref)
+    if ref is None:
+        return table, result.pi
+    table = reference.merge_records(table, ref)
+    # A reference record in reach (p_L <= limit) that the scan did not find
+    # would have failed the merge, on its p or on monotonicity, unless its
+    # pair closes at or past the limit.  No prime lies inside a reference
+    # gap, so p_L is then the last prime below the limit, with pi(p_L) the
+    # number of pairs scanned, or the limit itself, with one more.
+    for rec in table.records:
+        if rec.p_L <= cfg.limit and rec.p_L not in result.pi:
+            result.pi[rec.p_L] = result.pair_count + (rec.p_L == cfg.limit)
     return table, result.pi
 
 
 def cmd_table1(cfg: RunConfig, out: IO[str]) -> None:
     _header(out, cfg, f"limit={cfg.limit}")
     out.write("p_n,p_n1,d_n,A_n\n")
-    for p_block, q_block in gaps._pairs(cfg.limit, **_scan_kwargs(cfg)):
+    for p_block, q_block in gaps._pairs(cfg.limit, cfg.threads):
         for lo in range(0, p_block.size, _TABLE1_CHUNK_ROWS):
             p = p_block[lo : lo + _TABLE1_CHUNK_ROWS]
             q = q_block[lo : lo + _TABLE1_CHUNK_ROWS]
@@ -199,7 +202,7 @@ def cmd_table1(cfg: RunConfig, out: IO[str]) -> None:
 
 
 def cmd_table2(cfg: RunConfig, out: IO[str]) -> None:
-    result = gaps.scan_gaps(cfg.limit, top_k=cfg.top_k, **_scan_kwargs(cfg))
+    result = gaps.scan_gaps(cfg.limit, top_k=cfg.top_k, threads=cfg.threads)
     _header(out, cfg, f"limit={cfg.limit}", f"top={cfg.top_k}")
     out.write("n,p_n,p_n1,d_n,A_n\n")
     for pt in result.top:
@@ -222,7 +225,7 @@ def cmd_records(cfg: RunConfig, out: IO[str]) -> None:
 
 
 def cmd_first_gaps(cfg: RunConfig, out: IO[str]) -> None:
-    result = gaps.scan_gaps(cfg.limit, collect_first=True, **_scan_kwargs(cfg))
+    result = gaps.scan_gaps(cfg.limit, collect_first=True, threads=cfg.threads)
     _header(out, cfg, f"limit={cfg.limit}")
     out.write("d,p_f\n")
     for d, p_f in result.first.items():
@@ -230,7 +233,7 @@ def cmd_first_gaps(cfg: RunConfig, out: IO[str]) -> None:
 
 
 def cmd_verify(cfg: RunConfig, out: IO[str]) -> None:
-    result = gaps.scan_gaps(cfg.limit, **_scan_kwargs(cfg))
+    result = gaps.scan_gaps(cfg.limit, threads=cfg.threads)
     point = result.max_point  # None only when no pair lies below the limit
     if point is None:
         flag, max_a, at = "true", 0.0, "none"
@@ -243,7 +246,7 @@ def cmd_verify(cfg: RunConfig, out: IO[str]) -> None:
 
 
 def cmd_constants(cfg: RunConfig, out: IO[str]) -> None:
-    estimate = heuristics.twin_constant(cfg.prime_limit, **_scan_kwargs(cfg))
+    estimate = heuristics.twin_constant(cfg.prime_limit, threads=cfg.threads)
     consts = heuristics.HeuristicConstants.from_c2(estimate.value)
     out.write(f"C2={_fmt(consts.C2)}\n")
     out.write(f"c_prime={_fmt(consts.c_prime)}\n")
@@ -257,20 +260,20 @@ def cmd_predict(cfg: RunConfig, out: IO[str]) -> None:
     out.write(f"{_fmt(value)}\n")
 
 
-def _predicted_gap(cfg: RunConfig, x: int, pi_at: dict[int, int]) -> float:
+def _predicted_gap(cfg: RunConfig, x: int, pi: dict[int, int]) -> float:
     """Modelled G(x) at a record point; nan where the model is undefined."""
     try:
         if cfg.model == "auto":
             if x <= cfg.limit:
-                return heuristics.g_wolf(x, pi_at[x])
+                return heuristics.g_wolf(x, pi[x])
             return heuristics.g_gauss(x)
-        return GapModel(GapModelKind(cfg.model))(x, pi_at.get(x))
+        return GapModel(GapModelKind(cfg.model))(x, pi.get(x))
     except DomainError:
         return math.nan
 
 
 def cmd_figure1(cfg: RunConfig, out: IO[str]) -> None:
-    table, pi_at = _record_table(cfg)
+    table, pi = _record_table(cfg)
     if cfg.model == "wolf_exact_pi" and any(rec.p_L > cfg.limit for rec in table.records):
         raise DomainError(
             "exact prime counts are unavailable beyond --limit; "
@@ -292,7 +295,7 @@ def cmd_figure1(cfg: RunConfig, out: IO[str]) -> None:
         if cfg.g_source == "empirical":
             g = float(rec.g)
         else:
-            g = _predicted_gap(cfg, rec.p_L, pi_at)
+            g = _predicted_gap(cfg, rec.p_L, pi)
         predicted = heuristics.r_kernel(g) if g >= 0 else math.nan
         out.write(f"{rec.p_L},{_fmt(rec.r)},{_fmt(predicted)}\n")
 
@@ -360,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--limit", type=_parse_count, default=limit_default,
                        help="scan bound (pairs with q < limit); accepts 1e9 notation")
         p.add_argument("--out", dest="output_path", default=None, help="output file (default stdout)")
-        p.add_argument("--segment", dest="segment_length", type=_parse_count, default=None,
-                       help="sieve segment length in odd entries")
         p.add_argument("--threads", type=int, default=1, help="sieve worker threads")
 
     p = sub.add_parser("table1", help="pairs with Andrica differences, 9 decimals")
@@ -385,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime-limit", dest="prime_limit", type=_parse_count, default=10**6,
                    help="truncation bound of the twin-prime product")
     p.add_argument("--out", dest="output_path", default=None)
-    p.add_argument("--segment", dest="segment_length", type=_parse_count, default=None)
     p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("predict", help="evaluate one model at a point")

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -128,24 +128,17 @@ class GapScanResult:
     pi: dict[int, int] = field(default_factory=dict)
 
 
-def _scan_plan(
-    limit: int, segment_length: int | None, threads: int,
-    top_k: int | None = None, pi_at: Iterable[int] = (),
-) -> tuple[tuple[range, int], list[int]]:
-    """Check a scan's input; return the sieve plan of [0, limit) and the
-    ascending distinct ``pi_at`` points."""
+def _scan_plan(limit: int, threads: int, top_k: int | None = None) -> tuple[range, int]:
+    """Check a scan's input; return the sieve plan of [0, limit)."""
     if top_k is not None and top_k < 1:
         raise ValueError("top_k must be >= 1")
-    targets = sorted(set(int(x) for x in pi_at))
-    if targets and not 0 <= targets[0] <= targets[-1] <= limit:
-        raise ValueError(f"pi_at values must lie in [0, {limit}]")
     if limit < 3:
         raise ValueError("limit must be >= 3")
-    return sieve._plan(0, limit, segment_length, threads), targets
+    return sieve._plan(0, limit, threads)
 
 
-def _walk(starts: range, workers: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, int]]:
-    """Yield ``(seg_hi, base, idx, d, n)`` for every segment of a scan plan of
+def _walk(starts: range, workers: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, int]]:
+    """Yield ``(base, idx, d, n)`` for every segment of a scan plan of
     [0, limit) from :func:`_scan_plan`.
 
     The segment's primes are base + 2*idx.  Pair j closes at
@@ -156,7 +149,7 @@ def _walk(starts: range, workers: int) -> Iterator[tuple[int, int, np.ndarray, n
     before they are yielded, so a consumer may overwrite them.
     """
     prev, n = 2, 0  # last prime before the segment; pi(prev) = pairs so far
-    for _, seg_hi, base, mask in sieve._iter_masks(starts, workers):
+    for _, _, base, mask in sieve._iter_masks(starts, workers):
         idx = np.flatnonzero(mask)
         d = np.empty_like(idx)  # no temporary, unlike diff(prepend=): d[0] is set below
         np.subtract(idx[1:], idx[:-1], out=d[1:])
@@ -164,21 +157,19 @@ def _walk(starts: range, workers: int) -> Iterator[tuple[int, int, np.ndarray, n
         if idx.size:
             d[0] = base + 2 * int(idx[0]) - prev
             prev = base + 2 * int(idx[-1])
-        yield seg_hi, base, idx, d, n
+        yield base, idx, d, n
         n += idx.size
 
 
-def _pairs(
-    limit: int, segment_length: int | None = None, threads: int = 1
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _pairs(limit: int, threads: int = 1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The (p, q) int64 arrays of the pairs with q < limit, one per segment.
 
     The input is checked at the call.  Both are built in the walk's own
     arrays of the segment, so no segment holds more than its index and gap
     arrays.
     """
-    plan, _ = _scan_plan(limit, segment_length, threads)
-    return (_pair_arrays(base, idx, d) for _, base, idx, d, _ in _walk(*plan))
+    plan = _scan_plan(limit, threads)
+    return (_pair_arrays(base, idx, d) for base, idx, d, _ in _walk(*plan))
 
 
 def _pair_arrays(base: int, idx: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,8 +236,6 @@ def scan_gaps(
     *,
     top_k: int | None = None,
     collect_first: bool = False,
-    pi_at: Iterable[int] = (),
-    segment_length: int | None = None,
     threads: int = 1,
 ) -> GapScanResult:
     """One fold over all consecutive-prime pairs with q < limit.
@@ -254,13 +243,11 @@ def scan_gaps(
     Always produces the maximal-gap records and the running-maximum
     envelope of the Andrica difference; optionally also the first
     occurrence of every gap value and the ``top_k`` largest differences.
-    ``pi`` of the result holds the prime count below every record p_L,
-    every top-k p and every x of ``pi_at`` (0 <= x <= limit).
+    ``pi`` of the result holds the prime count below every record p_L and
+    every top-k p.
     """
-    plan, targets = _scan_plan(limit, segment_length, threads, top_k, pi_at)
-    pi = {x: 0 for x in targets if x <= 2}
-    targets = [x for x in targets if x > 2]
-    next_target = 0
+    plan = _scan_plan(limit, threads, top_k)
+    pi: dict[int, int] = {}
 
     pair_count = 0
     records: list[GapRecord] = []
@@ -273,11 +260,7 @@ def scan_gaps(
     top: list[tuple[float, int, int, int]] = []  # (a, p, q, pi(p))
     threshold = -math.inf if top_k is not None else math.inf  # k-th best a so far
 
-    for seg_hi, base, idx, d, n_prev in _walk(*plan):
-        while next_target < len(targets) and targets[next_target] <= seg_hi:
-            x = targets[next_target]
-            pi[x] = n_prev + 1 + int(np.searchsorted(idx, (x - base + 1) >> 1))
-            next_target += 1
+    for base, idx, d, n_prev in _walk(*plan):
         pair_count = n_prev + idx.size
         if idx.size == 0:
             continue
@@ -355,20 +338,15 @@ def scan_gaps(
     )
 
 
-def gap_stream(
-    limit: int,
-    *,
-    segment_length: int | None = None,
-    threads: int = 1,
-) -> Iterator[PrimeGap]:
+def gap_stream(limit: int, *, threads: int = 1) -> Iterator[PrimeGap]:
     """Consecutive-prime pairs (p, q) with q < limit, ascending in p; checked at the call."""
     return (
         PrimeGap(p, q)
-        for p_block, q_block in _pairs(limit, segment_length, threads)
+        for p_block, q_block in _pairs(limit, threads)
         for p, q in zip(p_block.tolist(), q_block.tolist())
     )
 
 
-def max_gap_records(limit: int, **kwargs) -> GapRecordTable:
+def max_gap_records(limit: int, *, threads: int = 1) -> GapRecordTable:
     """The step function of record gaps: every pair whose gap beats all earlier ones."""
-    return GapRecordTable(records=scan_gaps(limit, **kwargs).records)
+    return GapRecordTable(records=scan_gaps(limit, threads=threads).records)

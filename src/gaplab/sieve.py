@@ -16,9 +16,9 @@ Conventions used throughout the package:
   off-by-one here would silently skew every predictor built on top of it.
 * ranges are half-open ``[lo, hi)``.
 
-Every sieve-backed call checks its range, segment length and thread count
-in one place, :func:`_plan`, when it is made.  The plan is a ``range`` of
-segment starts, so its memory depends on neither the limit nor the segment.
+Every sieve-backed call checks its range and thread count in one place,
+:func:`_plan`, when it is made.  The plan is a ``range`` of segment starts,
+so its memory does not depend on the limit.
 
 Segments are independent once the base primes (<= sqrt(hi)) are known, so
 they may be sieved by a small thread pool; results are always delivered in
@@ -36,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-DEFAULT_SEGMENT_LENGTH = 1 << 20  # odd entries per segment (spans ~2M integers)
+SEGMENT_LENGTH = 1 << 20  # odd entries per segment (spans ~2M integers)
 
 MAX_SIEVE_BOUND = 2**63 - 1  # int64 internals; is_prime alone accepts full 64-bit
 MAX_PRIME_INPUT = 2**64 - 1
@@ -59,7 +59,7 @@ _WHEEL = 105
 _LARGE_CHUNK = 1 << 20
 
 
-def _plan(lo: int, hi: int, segment_length: int | None, threads: int) -> tuple[range, int]:
+def _plan(lo: int, hi: int, threads: int) -> tuple[range, int]:
     """Check a sieve request; return its segment starts and worker count.
 
     More workers than usable CPUs or segments could not run at once and
@@ -71,13 +71,9 @@ def _plan(lo: int, hi: int, segment_length: int | None, threads: int) -> tuple[r
         raise ValueError(f"empty or reversed range [{lo}, {hi})")
     if hi > MAX_SIEVE_BOUND:
         raise ValueError(f"sieve range bound {hi} exceeds {MAX_SIEVE_BOUND}")
-    if segment_length is None:
-        segment_length = DEFAULT_SEGMENT_LENGTH
-    elif segment_length < 1:
-        raise ValueError(f"segment length must be >= 1, got {segment_length}")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    starts = range(lo, hi, 2 * segment_length)
+    starts = range(lo, hi, 2 * SEGMENT_LENGTH)
     return starts, min(threads, _usable_cpus(), len(starts))
 
 
@@ -113,7 +109,7 @@ def _grow_base_primes(primes: np.ndarray, cached_bound: int, bound: int) -> np.n
     grown = np.empty(int(1.25506 * bound / math.log(bound)) + 1, dtype=np.int64)
     grown[: primes.size] = primes
     count = primes.size
-    for _, _, first, mask in _iter_masks(*_plan(cached_bound + 1, bound + 1, None, 1)):
+    for _, _, first, mask in _iter_masks(*_plan(cached_bound + 1, bound + 1, 1)):
         found = np.flatnonzero(mask)
         grown[count : count + found.size] = first + 2 * found
         count += found.size
@@ -214,16 +210,10 @@ def _iter_masks(starts: range, workers: int) -> Iterator[tuple[int, int, int, np
             yield pending.pop(0).result()
 
 
-def iter_prime_blocks(
-    lo: int,
-    hi: int,
-    *,
-    segment_length: int | None = None,
-    threads: int = 1,
-) -> Iterator[np.ndarray]:
+def iter_prime_blocks(lo: int, hi: int, *, threads: int = 1) -> Iterator[np.ndarray]:
     """The primes of ``[lo, hi)`` as one ascending int64 array per segment,
     lazily: the input is checked at the call, sieving starts at the first next()."""
-    masks = _iter_masks(*_plan(lo, hi, segment_length, threads))
+    masks = _iter_masks(*_plan(lo, hi, threads))
     return (_primes_of(*segment) for segment in masks)
 
 
@@ -234,28 +224,17 @@ def _primes_of(seg_lo: int, seg_hi: int, first: int, mask: np.ndarray) -> np.nda
     return block
 
 
-def primes_in_range(
-    lo: int,
-    hi: int,
-    *,
-    segment_length: int | None = None,
-    threads: int = 1,
-) -> np.ndarray:
+def primes_in_range(lo: int, hi: int, *, threads: int = 1) -> np.ndarray:
     """All primes p with ``lo <= p < hi``, ascending, as an int64 array."""
-    blocks = iter_prime_blocks(lo, hi, segment_length=segment_length, threads=threads)
+    blocks = iter_prime_blocks(lo, hi, threads=threads)
     return np.concatenate(list(blocks))  # a valid range has at least one block
 
 
-def prime_count(
-    x: int,
-    *,
-    segment_length: int | None = None,
-    threads: int = 1,
-) -> int:
+def prime_count(x: int, *, threads: int = 1) -> int:
     """Number of primes strictly below x."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    plan = _plan(0, max(x, 1), segment_length, threads)  # x = 0 plans [0, 1): no prime
+    plan = _plan(0, max(x, 1), threads)  # x = 0 plans [0, 1): no prime
     total = int(x > 2)  # the prime 2, which the odd-only masks leave out
     for _, _, _, mask in _iter_masks(*plan):
         total += int(np.count_nonzero(mask))

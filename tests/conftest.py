@@ -8,6 +8,9 @@ slow-but-obvious reference.
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import pytest
 from mpmath import mp, mpf, sqrt as mp_sqrt
 
@@ -35,6 +38,16 @@ def sqrt_diff_oracle(p: int, q: int) -> float:
     """sqrt(q) - sqrt(p) at 40 decimal digits, rounded to a double at the end."""
     with mp.workdps(40):
         return float(mp_sqrt(mpf(q)) - mp_sqrt(mpf(p)))
+
+
+@contextlib.contextmanager
+def sieve_segments(length: int | None):
+    """Sieve ``length`` odd entries per segment inside the block (None keeps
+    the default), so small scans cross many segment boundaries."""
+    from gaplab import sieve
+
+    with mock.patch.object(sieve, "SEGMENT_LENGTH", length or sieve.SEGMENT_LENGTH):
+        yield
 
 
 @pytest.fixture

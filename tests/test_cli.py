@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import gaplab
 from gaplab import cli, gaps, heuristics
-from tests.conftest import trial_division_primes
+from tests.conftest import sieve_segments, trial_division_primes
 
 _TABLE1_ORACLE_LIMIT = 50000
 _TABLE1_ORACLE_PRIMES = trial_division_primes(0, _TABLE1_ORACLE_LIMIT)
@@ -295,9 +295,9 @@ def test_exit_codes(tmp_path, capsys):
     "argv",
     [
         ["table1", "--limit", "2"],
-        ["table1", "--limit", "114", "--segment", "0"],
+        ["table1", "--limit", "114", "--segment", "1024"],  # not a flag any more
         ["verify", "--limit", "2"],
-        ["records", "--limit", "-1", "--segment", "-5"],
+        ["records", "--limit", "-1"],
         ["figure2", "--limit", "1", "--emit-gnuplot", "never.gp"],
         ["constants", "--prime-limit", "2"],
         ["verify", "--limit", "1e19"],
@@ -384,21 +384,15 @@ def _table1_oracle(limit):
 )
 def test_table1_bytes_match_trial_division(limit, segment, threads, chunk_rows):
     # tiny write chunks and segments put both kinds of edge mid-output
-    argv = ["table1", "--limit", str(limit), "--segment", str(segment), "--threads", str(threads)]
+    argv = ["table1", "--limit", str(limit), "--threads", str(threads)]
     out = io.StringIO()
-    with mock.patch.object(cli, "_TABLE1_CHUNK_ROWS", chunk_rows), contextlib.redirect_stdout(out):
+    with (
+        sieve_segments(segment),
+        mock.patch.object(cli, "_TABLE1_CHUNK_ROWS", chunk_rows),
+        contextlib.redirect_stdout(out),
+    ):
         assert cli.main(argv) == 0
     assert out.getvalue() == _table1_oracle(limit)
-
-
-@pytest.mark.parametrize("segment", ["-5", "0"])
-def test_bad_segment_length_is_a_usage_error(capsys, segment):
-    assert cli.main(["verify", "--limit", "1e6", "--segment", segment]) == 2
-    assert cli.main(["table1", "--limit", "114", "--segment", segment]) == 2
-    assert cli.main(["constants", "--prime-limit", "100", "--segment", segment]) == 2
-    captured = capsys.readouterr()
-    assert "count=" not in captured.out
-    assert "segment length must be >= 1" in captured.err
 
 
 def test_reference_with_a_prime_inside_a_gap_is_a_data_error(tmp_path, capsys):
@@ -445,6 +439,24 @@ def test_figure1_reference_record_straddling_the_limit(capsys, fixture_path):
         ["figure1", "--limit", "1350", "--ref", fixture_path, "--model", "wolf_exact_pi"]
     )
     assert rc == 2
+
+
+def test_figure1_prime_counts_at_every_record_edge(fixture_path, bundled_table):
+    # pi of a reference record the scan did not reach is derived from the
+    # pair count; pin it wherever --limit lies around a record
+    primes = trial_division_primes(0, 10**5 + 2)
+    near = [(g, p) for g, p in bundled_table.records if p + g < 10**5]
+    limits = sorted(
+        {x for g, p in near for x in (p - 1, p, p + 1, p + g - 1, p + g, p + g + 1) if x >= 3}
+    )
+    assert len(limits) > 60
+    with mock.patch.object(cli, "_load_reference", return_value=bundled_table):
+        for limit in limits:
+            cfg = cli.RunConfig("figure1", limit=limit, reference_path=fixture_path)
+            table, pi = cli._record_table(cfg)
+            for rec in table.records:
+                if rec.p_L <= limit:
+                    assert pi[rec.p_L] == bisect_left(primes, rec.p_L), (limit, rec.p_L)
 
 
 @pytest.mark.parametrize("command", ["table2", "figure1"])

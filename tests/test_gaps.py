@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from gaplab import gaps, sieve
 from gaplab.gaps import PrimeGap
-from tests.conftest import sqrt_diff_oracle, trial_division_is_prime, trial_division_primes
+from tests.conftest import (
+    sieve_segments,
+    sqrt_diff_oracle,
+    trial_division_is_prime,
+    trial_division_primes,
+)
 
 # (p, q, difference to 9 decimals) -- published values
 TABLE1_SAMPLES = [
@@ -34,14 +39,16 @@ def test_gap_stream_examples():
 
 def test_gap_stream_is_exhaustive_and_consecutive():
     primes = trial_division_primes(0, 3000)
-    stream = list(gaps.gap_stream(3000, segment_length=64))
+    with sieve_segments(64):
+        stream = list(gaps.gap_stream(3000))
     assert [(g.p, g.q) for g in stream] == list(zip(primes, primes[1:]))
 
 
 @settings(max_examples=30, deadline=None)
 @given(limit=st.integers(min_value=3, max_value=20000))
 def test_telescoping(limit):
-    stream = list(gaps.gap_stream(limit, segment_length=256))
+    with sieve_segments(256):
+        stream = list(gaps.gap_stream(limit))
     primes = trial_division_primes(0, limit)
     assert sum(g.d for g in stream) == (primes[-1] - 2 if primes else 0)
 
@@ -53,7 +60,8 @@ def test_telescoping(limit):
 )
 def test_gap_stream_segment_invariance(limit, exponent):
     coarse = [(g.p, g.q) for g in gaps.gap_stream(limit)]
-    fine = [(g.p, g.q) for g in gaps.gap_stream(limit, segment_length=1 << exponent)]
+    with sieve_segments(1 << exponent):
+        fine = [(g.p, g.q) for g in gaps.gap_stream(limit)]
     assert coarse == fine
 
 
@@ -66,7 +74,8 @@ def test_gap_stream_segment_invariance(limit, exponent):
 def test_pair_blocks_outlive_their_segment(limit, segment, threads):
     # p and q are built in the walk's arrays of each segment; blocks kept
     # until the walk ends must not have been overwritten by later segments
-    blocks = list(gaps._pairs(limit, segment_length=segment, threads=threads))
+    with sieve_segments(segment):
+        blocks = list(gaps._pairs(limit, threads))
     primes = trial_division_primes(0, limit)
     assert np.concatenate([p for p, _ in blocks]).tolist() == primes[:-1]
     assert np.concatenate([q for _, q in blocks]).tolist() == primes[1:]
@@ -130,7 +139,8 @@ def test_max_gap_records_brute_force_below_1e4():
         if q - p > best:
             best = q - p
             expected.append((p, q, best))
-    t = gaps.max_gap_records(10**4, segment_length=1 << 10)
+    with sieve_segments(1 << 10):
+        t = gaps.max_gap_records(10**4)
     assert [(r.p_L, r.p_L1, r.g) for r in t.records] == expected
 
 
@@ -164,7 +174,8 @@ def test_first_occurrences():
     expected = {}
     for p, q in zip(primes, primes[1:]):
         expected.setdefault(q - p, p)
-    got = gaps.scan_gaps(10**4, collect_first=True, segment_length=1 << 10).first
+    with sieve_segments(1 << 10):
+        got = gaps.scan_gaps(10**4, collect_first=True).first
     assert got == expected
 
 
@@ -202,7 +213,8 @@ def test_top_andrica_matches_brute_force(limit, k):
         for p, q in zip(primes, primes[1:])
     )
     expected = [(p, q, a) for a, p, q in sorted(scored, key=lambda t: (-t[0], t[1]))][:k]
-    top = gaps.scan_gaps(limit, top_k=k, segment_length=512).top
+    with sieve_segments(512):
+        top = gaps.scan_gaps(limit, top_k=k).top
     got = [(t.gap.p, t.gap.q, t.a) for t in top]
     assert got == expected
 
@@ -349,7 +361,8 @@ def _folded(result):
 )
 def test_scan_matches_brute_force_rescan(segment, k, data):
     limit = data.draw(st.integers(min_value=3, max_value=min(2000 * segment, 20000)))
-    result = gaps.scan_gaps(limit, top_k=k, collect_first=True, segment_length=segment)
+    with sieve_segments(segment):
+        result = gaps.scan_gaps(limit, top_k=k, collect_first=True)
     assert _folded(result) == _brute_scan(limit, k)
     if result.max_point is not None:
         assert (result.max_point.gap.p, result.max_point.a) == result.envelope[-1]
@@ -360,7 +373,8 @@ def test_top_k_takes_pairs_from_later_segments(segment_length):
     # the top 500 of 2261 pairs spread far past the first segments, so every
     # segment passes or fails the d_max / (2 sqrt p0) prefilter on its merits
     limit = 20000
-    result = gaps.scan_gaps(limit, top_k=500, segment_length=segment_length)
+    with sieve_segments(segment_length):
+        result = gaps.scan_gaps(limit, top_k=500)
     expected = _brute_scan(limit, 500)
     assert [(t.gap.p, t.gap.q, t.a) for t in result.top] == expected["top"]
     assert max(t.gap.p for t in result.top) > limit // 2
@@ -388,7 +402,8 @@ def test_top_k_ties_resolve_by_smaller_p(monkeypatch, segment_length):
         key=lambda t: (-t[0], t[1]),
     )
     for k in (1, 10, 300):
-        result = gaps.scan_gaps(limit, top_k=k, segment_length=segment_length)
+        with sieve_segments(segment_length):
+            result = gaps.scan_gaps(limit, top_k=k)
         assert [(t.a, t.gap.p, t.gap.q) for t in result.top] == scored[:k]
 
 
@@ -408,7 +423,8 @@ def test_segment_bound_is_never_below_a_quotient(p0, step, d, extra):
 @pytest.mark.parametrize("start,segment_length", [(1, 64), (2, None), (64, 16)])
 def test_first_occurrences_grow_the_seen_table(monkeypatch, start, segment_length):
     monkeypatch.setattr(gaps, "_SEEN_START", start)
-    got = gaps.scan_gaps(_ORACLE_LIMIT, collect_first=True, segment_length=segment_length)
+    with sieve_segments(segment_length):
+        got = gaps.scan_gaps(_ORACLE_LIMIT, collect_first=True)
     expected = _brute_scan(_ORACLE_LIMIT, 1)["first"]
     assert got.first == expected
     # gap 72 first opens at 31397: beyond the default table size
@@ -421,19 +437,12 @@ def test_default_seen_table_is_outgrown_by_an_ordinary_scan():
 
 def test_prime_index_of_records_and_top_pairs():
     limit = 10**5 + 3
-    xs = [0, 1, 2, 3, 4, 1327, 1328, 99991, limit]
-    result = gaps.scan_gaps(limit, top_k=25, pi_at=xs, segment_length=1000)
-    wanted = {rec.p_L for rec in result.records} | {t.gap.p for t in result.top} | set(xs)
+    with sieve_segments(1000):
+        result = gaps.scan_gaps(limit, top_k=25)
+    wanted = {rec.p_L for rec in result.records} | {t.gap.p for t in result.top}
     assert set(result.pi) == wanted
     for x, n in result.pi.items():
         assert n == sieve.prime_count(x), x
-
-
-def test_pi_at_must_lie_within_the_scan():
-    with pytest.raises(ValueError):
-        gaps.scan_gaps(1000, pi_at=[1001])
-    with pytest.raises(ValueError):
-        gaps.scan_gaps(1000, pi_at=[-1])
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gaplab import heuristics as h
 from gaplab.heuristics import DomainError, GapModel, GapModelKind
+from tests.conftest import sieve_segments
 
 # frozen from a 40-digit mpmath evaluation of the same closed forms
 G_WOLF_1E6_78498 = 114.7038545642796
@@ -51,7 +52,8 @@ def test_twin_constant_converges():
 
 def test_converged_product_reproduces_c_prime():
     # at 1e8 the truncation error (~5e-10) is below the 8th decimal of ln C2
-    est = h.twin_constant(10**8, segment_length=1 << 22)
+    with sieve_segments(1 << 22):
+        est = h.twin_constant(10**8)
     assert f"{math.log(est.value):.8f}" == "0.27787688"
 
 

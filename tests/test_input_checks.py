@@ -27,10 +27,7 @@ _BOUND_CALLS = {
     "twin_constant": (heuristics.twin_constant, "prime_limit must be >= 3"),
 }
 
-_BAD_KWARGS = [
-    ({"segment_length": 0}, "segment length must be >= 1"),
-    ({"threads": 0}, "threads must be >= 1"),
-]
+_BAD_KWARGS = [({"threads": 0}, "threads must be >= 1")]
 
 
 def _cases():

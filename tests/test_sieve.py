@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaplab import sieve
-from tests.conftest import trial_division_is_prime, trial_division_primes
+from tests.conftest import sieve_segments, trial_division_is_prime, trial_division_primes
 
 
 def test_primes_in_range_tiny():
@@ -22,7 +22,8 @@ def test_primes_in_range_tiny():
 def test_oracle_equivalence_below_1e5():
     assert sieve.primes_in_range(0, 10**5).tolist() == trial_division_primes(0, 10**5)
     # a range of exactly one segment
-    got = sieve.primes_in_range(0, 2048, segment_length=1024)
+    with sieve_segments(1024):
+        got = sieve.primes_in_range(0, 2048)
     assert got.tolist() == trial_division_primes(0, 2048)
 
 
@@ -47,10 +48,13 @@ def test_is_prime_exhaustive_below_1e5():
 def test_segmentation_transparency(lo, width, cut):
     hi = lo + width
     m = lo + 1 + int(cut * (width - 1)) if width > 1 else lo + 1
-    whole = sieve.primes_in_range(lo, hi, segment_length=128).tolist()
+    with sieve_segments(128):
+        whole = sieve.primes_in_range(lo, hi).tolist()
     if lo < m < hi:
-        left = sieve.primes_in_range(lo, m, segment_length=128).tolist()
-        right = sieve.primes_in_range(m, hi, segment_length=512).tolist()
+        with sieve_segments(128):
+            left = sieve.primes_in_range(lo, m).tolist()
+        with sieve_segments(512):
+            right = sieve.primes_in_range(m, hi).tolist()
         assert left + right == whole
     assert whole == trial_division_primes(lo, hi)
 
@@ -89,7 +93,8 @@ def test_is_prime_known_hard_composites():
 
 def test_threads_do_not_change_results():
     one = sieve.primes_in_range(0, 2 * 10**6, threads=1)
-    four = sieve.primes_in_range(0, 2 * 10**6, threads=4, segment_length=1 << 14)
+    with sieve_segments(1 << 14):
+        four = sieve.primes_in_range(0, 2 * 10**6, threads=4)
     assert np.array_equal(one, four)
 
 
@@ -106,25 +111,23 @@ def test_invalid_ranges():
                 sieve.prime_count(x, threads=threads)
         with pytest.raises(ValueError, match="threads must be >= 1"):
             sieve.primes_in_range(0, 10, threads=threads)
-    with pytest.raises(ValueError, match="segment length must be >= 1"):
-        sieve.prime_count(1, segment_length=0)
 
 
 def test_segment_tiling_and_validation():
-    masks = sieve._iter_masks(*sieve._plan(0, 10**6, 1 << 14, 1))
-    segs = [(lo, hi) for lo, hi, _, _ in masks]
+    with sieve_segments(1 << 14):
+        segs = [(lo, hi) for lo, hi, _, _ in sieve._iter_masks(*sieve._plan(0, 10**6, 1))]
     assert segs[0][0] == 0 and segs[-1][1] == 10**6
     for (lo, hi), (next_lo, _) in zip(segs, segs[1:]):
         assert hi == next_lo
         assert hi - lo <= 2 * (1 << 14)
 
 
-@pytest.mark.parametrize("hi,segment_length", [(10**18, None), (10**9, 1)])
-def test_segment_plan_stays_flat(no_sieve, hi, segment_length):
+def test_segment_plan_stays_flat(no_sieve):
+    hi = 10**18
     tracemalloc.start()
     try:
-        starts, workers = sieve._plan(0, hi, segment_length, 2)
-        sieve.iter_prime_blocks(0, hi, segment_length=segment_length)
+        starts, workers = sieve._plan(0, hi, 2)
+        sieve.iter_prime_blocks(0, hi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -145,7 +148,9 @@ _FAR_WINDOWS = [
 @pytest.mark.parametrize("lo,hi", _FAR_WINDOWS)
 @pytest.mark.parametrize("segment_length", [None, 1000])
 def test_far_windows_against_is_prime(lo, hi, segment_length):
-    survivors = set(sieve.primes_in_range(lo, hi, segment_length=segment_length).tolist())
+    sieve._base_primes(math.isqrt(hi - 1))  # grown at the default segment length
+    with sieve_segments(segment_length):
+        survivors = set(sieve.primes_in_range(lo, hi).tolist())
     for v in range(lo | 1, hi, 2):
         assert (v in survivors) == sieve.is_prime(v), v
     assert all(v % 2 for v in survivors)
@@ -156,7 +161,8 @@ def test_tiny_segments_from_zero_keep_base_primes(segment_length):
     # n/32 is at most 31, so every base prime >= 11 (or >= 37 for 1000) takes
     # the vectorised path; 11 (for 64) and 37, 41, 43 (for 1000) lie inside
     # the first segment and must not mark themselves
-    got = sieve.primes_in_range(0, 20000, segment_length=segment_length)
+    with sieve_segments(segment_length):
+        got = sieve.primes_in_range(0, 20000)
     assert got.tolist() == trial_division_primes(0, 20000)
 
 
@@ -243,10 +249,9 @@ def test_worker_threads_are_bounded(monkeypatch, threads, cpus, limit, workers):
     monkeypatch.setattr(sieve, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(_RecordingPool, "peak_pending", 0)
-    segment_length = 200  # 400 integers per segment
-    assert sieve.prime_count(limit, segment_length=segment_length, threads=threads) == len(
-        trial_division_primes(0, limit)
-    )
+    with sieve_segments(200):  # 400 integers per segment
+        count = sieve.prime_count(limit, threads=threads)
+    assert count == len(trial_division_primes(0, limit))
     if workers is None:
         assert _RecordingPool.sizes == []
     else:
