@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import IO, Sequence
@@ -435,6 +436,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         with _open_output(cfg.output_path) as out:
             _COMMANDS[cfg.subcommand](cfg, out)
         _emit_gnuplot(cfg)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
     except DomainError as exc:
         print(f"gaplab: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -445,6 +447,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"gaplab: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the interpreter flushes stdout again at exit; let that write go nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"gaplab: {exc}", file=sys.stderr)
         return IO_ERROR
     return 0

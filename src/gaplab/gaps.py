@@ -33,7 +33,9 @@ fold builds primes as integers only where it needs them:
   current k-th best; no quotient in the segment can exceed that bound, and
   beyond (7, 11) it rules out nearly every segment;
 * first occurrences look up each gap in a table of values already seen,
-  which grows with the largest gap, and sort only the new ones.
+  which grows with the largest gap, and sort only the new ones;
+* no index is extracted from a segment that holds no gap reaching the least
+  one that could change the fold, a fact read off the mask's zero words.
 """
 
 from __future__ import annotations
@@ -137,28 +139,47 @@ def _scan_plan(limit: int, threads: int, top_k: int | None = None) -> tuple[rang
     return sieve._plan(0, limit, threads)
 
 
-def _walk(starts: range, workers: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, int]]:
-    """Yield ``(base, idx, d, n)`` for every segment of a scan plan of
-    [0, limit) from :func:`_scan_plan`.
-
-    The segment's primes are base + 2*idx.  Pair j closes at
-    q_j = base + 2*idx[j] and opens at p_j = q_j - d[j], with pi(p_j) = n + j;
-    the first pair opens at the last prime of the previous segment (2 before
-    the first one), so no gap across a boundary is dropped.  ``idx`` and
-    ``d`` are fresh arrays of the segment, and the carried prime is read
-    before they are yielded, so a consumer may overwrite them.
-    """
-    prev, n = 2, 0  # last prime before the segment; pi(prev) = pairs so far
+def _walk(starts: range, workers: int) -> Iterator[tuple[int, np.ndarray, int]]:
+    """Yield ``(base, mask, prev)`` for every segment of a :func:`_scan_plan`:
+    its primes are base + 2*i for each set ``mask[i]``, and ``prev`` is the
+    last prime before it (2 before the first), so no boundary gap is dropped."""
+    prev = 2
     for _, _, base, mask in sieve._iter_masks(starts, workers):
-        idx = np.flatnonzero(mask)
-        d = np.empty_like(idx)  # no temporary, unlike diff(prepend=): d[0] is set below
-        np.subtract(idx[1:], idx[:-1], out=d[1:])
-        d <<= 1
-        if idx.size:
-            d[0] = base + 2 * int(idx[0]) - prev
-            prev = base + 2 * int(idx[-1])
-        yield base, idx, d, n
-        n += idx.size
+        yield base, mask, prev
+        span = 64  # a prime lies near nearly every end: look back in growing windows
+        while not (tail := np.flatnonzero(mask[-span:])).size and span < mask.size:
+            span *= 4
+        if tail.size:
+            prev = base + 2 * (int(tail[-1]) + max(mask.size - span, 0))
+
+
+def _segment_pairs(base: int, mask: np.ndarray, prev: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(idx, d)`` of a segment from :func:`_walk`, fresh arrays a consumer
+    may overwrite: pair j closes at q_j = base + 2*idx[j] and opens at
+    p_j = q_j - d[j], the first pair at ``prev``."""
+    idx = np.flatnonzero(mask)
+    d = np.empty_like(idx)  # no temporary, unlike diff(prepend=): d[0] is set below
+    np.subtract(idx[1:], idx[:-1], out=d[1:])
+    d <<= 1
+    if idx.size:
+        d[0] = base + 2 * int(idx[0]) - prev
+    return idx, d
+
+
+def _may_hold_gap(mask: np.ndarray, w: int) -> bool:
+    """False only if no two set entries of ``mask`` lie w or more apart in
+    value: such a gap leaves z >= w//2 - 1 zero entries, which cover (z - 7)//8
+    whole aligned 8-byte words.  A size that is not a multiple of 8 (at most
+    a scan's last segment) is not tested."""
+    words = (w // 2 - 1 - 7) // 8
+    if words < 1 or mask.size % 8:
+        return True
+    run, length = mask.view(np.uint64) == 0, 1  # run[i]: words i .. i+length-1 are zero
+    while length < words:
+        step = min(length, words - length)
+        run = run[:-step] & run[step:]
+        length += step
+    return bool(run.any())
 
 
 def _pairs(limit: int, threads: int = 1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -169,11 +190,11 @@ def _pairs(limit: int, threads: int = 1) -> Iterator[tuple[np.ndarray, np.ndarra
     arrays.
     """
     plan = _scan_plan(limit, threads)
-    return (_pair_arrays(base, idx, d) for base, idx, d, _ in _walk(*plan))
+    return (_pair_arrays(*segment) for segment in _walk(*plan))
 
 
-def _pair_arrays(base: int, idx: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    q = idx
+def _pair_arrays(base: int, mask: np.ndarray, prev: int) -> tuple[np.ndarray, np.ndarray]:
+    q, d = _segment_pairs(base, mask, prev)
     q <<= 1
     q += base
     return np.subtract(q, d, out=d), q
@@ -260,10 +281,29 @@ def scan_gaps(
     top: list[tuple[float, int, int, int]] = []  # (a, p, q, pi(p))
     threshold = -math.inf if top_k is not None else math.inf  # k-th best a so far
 
-    for base, idx, d, n_prev in _walk(*plan):
-        pair_count = n_prev + idx.size
-        if idx.size == 0:
+    for base, mask, p0 in _walk(*plan):
+        n_prev = pair_count
+        pair_count += int(np.count_nonzero(mask))
+        if pair_count == n_prev:
             continue
+        two_root = 2.0 * math.sqrt(p0)
+        # Triage: w is the least gap that could change the fold, and a segment
+        # without one changes only the pair count and the carried prime.  A
+        # record needs g > record_g, a first occurrence an unseen (even) gap.
+        # The envelope and the top-k take a pair only if its bound
+        # fl(d / two_root) (see below) is not below m = min(env_a, threshold).
+        # With u = 2^-53 and c = fl(1 - 1e-9) < 1 - 0.9e-9, an integer
+        # d < w <= fl(fl(m * two_root) * c) has fl(d / two_root) <= (1 + u) d /
+        # two_root < m c (1 + u)^3 < m.  Without the slack c, fl(d / two_root)
+        # could round up onto threshold.
+        w = min(record_g + 1, math.floor(max(min(env_a, threshold), 0.0) * two_root * (1 - 1e-9)))
+        if collect_first:
+            unseen = np.flatnonzero(~seen[2::2])
+            w = min(w, 2 * int(unseen[0]) + 2 if unseen.size else seen.size)
+        if base + 2 * int(mask.argmax()) - p0 < w and not _may_hold_gap(mask, w):
+            continue
+
+        idx, d = _segment_pairs(base, mask, p0)
         d_max = int(d.max())
 
         if d_max > record_g:
@@ -289,8 +329,6 @@ def scan_gaps(
         # =: bound_j.  A pair can enter the envelope (a > env_a) or the top-k
         # (a >= threshold) only if its bound does; after (7, 11) that rules out
         # nearly every segment from its d_max alone.
-        p0 = base + 2 * int(idx[0]) - int(d[0])  # the prime carried into the segment
-        two_root = 2.0 * math.sqrt(p0)
         if d_max / two_root > env_a or d_max / two_root >= threshold:
             sel, a = _candidate_quotients(base, idx, d, two_root, env_a, threshold)
 

@@ -1,5 +1,6 @@
 import math
 from bisect import bisect_left, bisect_right
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -366,6 +367,86 @@ def test_scan_matches_brute_force_rescan(segment, k, data):
     assert _folded(result) == _brute_scan(limit, k)
     if result.max_point is not None:
         assert (result.max_point.gap.p, result.max_point.a) == result.envelope[-1]
+
+
+def _extracting():
+    """Count the segments a scan extracts indices from, the rest it triages away."""
+    return mock.patch.object(gaps, "_segment_pairs", wraps=gaps._segment_pairs)
+
+
+@pytest.mark.parametrize("k,collect_first", [(None, True), (10, True), (None, False)])
+def test_rescan_range_takes_both_triage_branches(k, collect_first):
+    # the range and segments of the rescans above, with the largest limit they draw
+    limit, segment = 20000, 64
+    with sieve_segments(segment), _extracting() as extract:
+        result = gaps.scan_gaps(limit, top_k=k, collect_first=collect_first)
+    expected = _brute_scan(limit, k)
+    if not collect_first:
+        expected["first"] = None
+    assert _folded(result) == expected
+    assert 0 < extract.call_count < len(range(0, limit, 2 * segment))
+
+
+def _longest_zero_run(mask):
+    best = run = 0
+    for bit in mask.tolist():
+        run = 0 if bit else run + 1
+        best = max(best, run)
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bits=st.lists(st.booleans(), max_size=400),
+    w=st.integers(min_value=0, max_value=900),
+    start=st.integers(min_value=0, max_value=400),
+    length=st.integers(min_value=0, max_value=400),
+)
+@example(bits=[True] * 64, w=48, start=1, length=23)  # the shortest run that covers 2 words
+@example(bits=[True] * 64, w=48, start=0, length=23)  # at the very start
+@example(bits=[True] * 64, w=48, start=41, length=23)  # at the very end
+@example(bits=[True] * 64, w=48, start=9, length=22)  # one entry short of 2 words
+@example(bits=[True] * 61, w=20, start=0, length=61)  # size not a multiple of 8
+def test_zero_run_test_never_misses_a_gap(bits, w, start, length):
+    # A gap >= w between two set entries leaves w//2 - 1 zero entries between
+    # them, so any run that long must be reported, wherever it lies.
+    mask = np.array(bits, dtype=bool)
+    mask[start : start + length] = False
+    held = gaps._may_hold_gap(mask, w)
+    if mask.size % 8:
+        assert held  # not tested: such a segment takes the full path
+        return
+    longest = _longest_zero_run(mask)
+    if longest >= w // 2 - 1:
+        assert held
+    words = (w // 2 - 1 - 7) // 8
+    if words >= 1 and longest < 8 * words:  # too short to cover that many whole words
+        assert not held
+
+
+def test_triaged_scan_matches_a_numpy_fold():
+    limit, k = 3 * 10**6 + 17, 10
+    primes = sieve.primes_in_range(0, limit)
+    p, q = primes[:-1], primes[1:]
+    d = q - p
+    a = d / (np.sqrt(q.astype(np.float64)) + np.sqrt(p.astype(np.float64)))
+    rec = np.flatnonzero(d > np.maximum.accumulate(np.concatenate(([0], d[:-1]))))
+    env = np.flatnonzero(a > np.maximum.accumulate(np.concatenate(([0.0], a[:-1]))))
+    values, at = np.unique(d, return_index=True)
+    top = np.lexsort((p, -a))[:k]
+    with sieve_segments(4096), _extracting() as extract:
+        result = gaps.scan_gaps(limit, top_k=k, collect_first=True)
+    assert result.pair_count == d.size
+    assert [(r.p_L, r.p_L1, r.g, r.r) for r in result.records] == [
+        (int(p[i]), int(q[i]), int(d[i]), float(a[i])) for i in rec
+    ]
+    assert list(result.envelope) == [(int(p[i]), float(a[i])) for i in env]
+    assert result.first == {int(g): int(p[i]) for g, i in zip(values, at)}
+    assert [(t.gap.p, t.gap.q, t.a) for t in result.top] == [
+        (int(p[i]), int(q[i]), float(a[i])) for i in top
+    ]
+    assert result.pi == {int(p[i]): int(i) for i in (*rec, *top)}
+    assert 0 < extract.call_count < len(range(0, limit, 2 * 4096)) // 2
 
 
 @pytest.mark.parametrize("segment_length", [16, 1000, None])

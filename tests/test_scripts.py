@@ -10,12 +10,29 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _run_script(script, args, **kwargs):
+def _run(argv, **kwargs):
+    """Run ``python argv...`` with ``src/`` on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     env.update(kwargs.pop("env", {}))
-    argv = [sys.executable, str(ROOT / "scripts" / script), *args]
-    return subprocess.run(argv, env=env, text=True, timeout=60, **kwargs)
+    return subprocess.run([sys.executable, *argv], env=env, text=True, timeout=60, **kwargs)
+
+
+def _run_script(script, args, **kwargs):
+    return _run([str(ROOT / "scripts" / script), *args], **kwargs)
+
+
+def _run_into_closed_pipe(argv, unbuffered):
+    # the read end is closed before the program starts, so its first write
+    # (or, with buffered stdout, its flush) fails whatever the timing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return _run(
+            argv, stdout=write_end, stderr=subprocess.PIPE, env={"PYTHONUNBUFFERED": unbuffered}
+        )
+    finally:
+        os.close(write_end)
 
 
 @pytest.mark.parametrize(
@@ -33,18 +50,17 @@ def test_script_runs(tmp_path, script, args):
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 def test_scan_records_reports_a_closed_pipe(unbuffered):
-    # the read end is closed before the script starts, so its first write
-    # (or, with buffered stdout, its flush) fails whatever the timing
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        done = _run_script(
-            "scan_records.py", ["--limit", "1e6"], stdout=write_end, stderr=subprocess.PIPE,
-            env={"PYTHONUNBUFFERED": unbuffered},
-        )
-    finally:
-        os.close(write_end)
+    script = str(ROOT / "scripts" / "scan_records.py")
+    done = _run_into_closed_pipe([script, "--limit", "1e6"], unbuffered)
     assert (done.returncode, done.stderr) == (4, "scan_records.py: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("args", [["verify", "--limit", "1e3"], ["table1", "--limit", "1e5"]])
+def test_cli_reports_a_closed_pipe(args, unbuffered):
+    # a short output sits in the buffer until the final flush, a long one fails mid-command
+    done = _run_into_closed_pipe(["-m", "gaplab.cli", *args], unbuffered)
+    assert (done.returncode, done.stderr) == (4, "gaplab: [Errno 32] Broken pipe\n")
 
 
 @pytest.mark.parametrize(
