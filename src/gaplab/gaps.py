@@ -27,15 +27,16 @@ walk over the masks is the only source of pairs: :func:`gap_stream` and the
 CLI's ``table1`` read it too, building (p, q) in the walk's own arrays.  The
 fold builds primes as integers only where it needs them:
 
-* records walk a segment only when its largest gap beats the record;
-* the Andrica quotient is taken only for a segment whose bound
-  d_max / (2 sqrt(p0)), p0 its first p, beats the envelope or reaches the
-  current k-th best; no quotient in the segment can exceed that bound, and
-  beyond (7, 11) it rules out nearly every segment;
-* first occurrences look up each gap in a table of values already seen,
-  which grows with the largest gap, and sort only the new ones;
+* each concern keeps one integer w, the least gap that could change it, and
+  takes from a segment only the pairs with d >= w: a record needs a gap
+  above the record, a first occurrence the least gap not yet opened, and the
+  envelope and the top-k a gap of about m * 2 sqrt(p0), floored, with m the
+  lesser of the envelope and the k-th best quotient and p0 the segment's
+  first p; beyond (7, 11) that rules out nearly every segment;
+* first occurrences are one table, indexed by the gap, of the p where each
+  gap first opens; it grows with the largest gap;
 * no index is extracted from a segment that holds no gap reaching the least
-  one that could change the fold, a fact read off the mask's zero words.
+  of those w, a fact read off the mask's zero words.
 """
 
 from __future__ import annotations
@@ -47,11 +48,6 @@ from typing import Iterator
 import numpy as np
 
 from gaplab import sieve
-
-# Initial size of the table of gap values already seen by a first-occurrence
-# scan.  Deliberately small: every scan past 31397 (gap 72) grows it.
-_SEEN_START = 64
-
 
 def stable_sqrt_diff(p: int, q: int) -> float:
     """sqrt(q) - sqrt(p) via the cancellation-free quotient (q-p)/(sqrt(q)+sqrt(p))."""
@@ -200,52 +196,54 @@ def _pair_arrays(base: int, mask: np.ndarray, prev: int) -> tuple[np.ndarray, np
     return np.subtract(q, d, out=d), q
 
 
-def _walk_rising(values: np.ndarray, current: float) -> list[int]:
-    """Indices where ``values`` sets successive new maxima above ``current``."""
-    out: list[int] = []
-    if values.size == 0:
-        return out
-    pos = 0
-    while True:
-        rest = values[pos:]
-        above = np.nonzero(rest > current)[0]
-        if above.size == 0:
-            return out
-        pos += int(above[0])
-        current = values[pos]
-        out.append(pos)
-        pos += 1
-        if pos >= values.size:
-            return out
+def _rising(values: np.ndarray, current: float) -> np.ndarray:
+    """Indices i with values[i] > max(current, values[:i]): the successive
+    new maxima above ``current``; a tie is no new maximum."""
+    before = np.concatenate(([current], values[:-1]))
+    np.maximum.accumulate(before, out=before)
+    return np.flatnonzero(values > before)
 
 
-def _new_gaps(d: np.ndarray, seen: np.ndarray) -> list[tuple[int, int]]:
-    """(g, first index of g in ``d``) for every gap value g not yet ``seen``,
-    ascending in g; marks them seen."""
-    fresh = np.flatnonzero(~seen[d])
-    values, at = np.unique(d[fresh], return_index=True)
-    seen[values] = True
-    return list(zip(values.tolist(), fresh[at].tolist()))
+def _first_openings(
+    first_p: np.ndarray, base: int, idx: np.ndarray, d: np.ndarray, w: int
+) -> np.ndarray:
+    """``first_p``, where first_p[g] is the p where gap g first opens (0 while
+    it has not), updated with every gap g >= w that first opens in the
+    segment ``(idx, d)``.  The segment-sized temporaries end with the call."""
+    # no proven bound caps the gaps, so the table grows with the largest one
+    first_p = np.pad(first_p, (0, max(int(d.max()) + 1 - first_p.size, 0)))
+    at = np.flatnonzero(d >= w)
+    at = at[first_p[d[at]] == 0]
+    first = np.full(first_p.size, d.size)  # first[g]: least j in at with d[j] = g
+    np.minimum.at(first, d[at], at)
+    g = np.flatnonzero(first < d.size)
+    first_p[g] = idx[first[g]] * 2 + base - g
+    return first_p
+
+
+def _quotient_gap_bound(m: float, two_root: float) -> int:
+    """w_a such that no pair (p, p + d) with p >= p0 and d < w_a has an
+    Andrica quotient a >= m, for two_root = 2 fl(sqrt p0).
+
+    IEEE sqrt, + and / are monotone under round-to-nearest, so a = fl(d /
+    (fl(sqrt q) + fl(sqrt p))) <= fl(d / two_root).  With u = 2^-53 and c =
+    fl(1 - 1e-9) < 1 - 0.9e-9, an integer d < w_a <= fl(fl(m * two_root) * c)
+    has fl(d / two_root) <= (1 + u) d / two_root < m c (1 + u)^3 < m.  A
+    negative m bounds nothing.
+    """
+    return math.floor(max(m, 0.0) * two_root * (1 - 1e-9))
 
 
 def _candidate_quotients(
-    base: int,
-    idx: np.ndarray,
-    d: np.ndarray,
-    two_root: float,
-    env_a: float,
-    threshold: float,
+    base: int, idx: np.ndarray, d: np.ndarray, w: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Indices j of the pairs whose bound d_j / two_root beats ``env_a`` or
-    reaches ``threshold``, and their Andrica quotients.
+    """Indices j of the pairs with d_j >= w, and their Andrica quotients.
 
     Pair j closes at q = base + 2*idx[j] and opens at p = q - d[j].  Working
     in place keeps the first segment, where every pair is a candidate, to a
     few arrays of its size.
     """
-    bound = d / two_root
-    sel = np.flatnonzero((bound > env_a) | (bound >= threshold))
-    del bound
+    sel = np.flatnonzero(d >= w)
     q = idx[sel]
     q <<= 1
     q += base
@@ -272,14 +270,13 @@ def scan_gaps(
 
     pair_count = 0
     records: list[GapRecord] = []
-    record_g = 0
     envelope: list[tuple[int, float]] = []
     env_a = 0.0
     max_point: AndricaPoint | None = None
-    seen = np.zeros(_SEEN_START, dtype=bool)
-    first: dict[int, int] = {}
+    first_p = np.zeros(0, dtype=np.int64)  # see _first_openings
     top: list[tuple[float, int, int, int]] = []  # (a, p, q, pi(p))
     threshold = -math.inf if top_k is not None else math.inf  # k-th best a so far
+    w_first = 1 if collect_first else math.inf  # gap 1, (2, 3), opens the first pair
 
     for base, mask, p0 in _walk(*plan):
         n_prev = pair_count
@@ -287,56 +284,40 @@ def scan_gaps(
         if pair_count == n_prev:
             continue
         two_root = 2.0 * math.sqrt(p0)
-        # Triage: w is the least gap that could change the fold, and a segment
-        # without one changes only the pair count and the carried prime.  A
-        # record needs g > record_g, a first occurrence an unseen (even) gap.
-        # The envelope and the top-k take a pair only if its bound
-        # fl(d / two_root) (see below) is not below m = min(env_a, threshold).
-        # With u = 2^-53 and c = fl(1 - 1e-9) < 1 - 0.9e-9, an integer
-        # d < w <= fl(fl(m * two_root) * c) has fl(d / two_root) <= (1 + u) d /
-        # two_root < m c (1 + u)^3 < m.  Without the slack c, fl(d / two_root)
-        # could round up onto threshold.
-        w = min(record_g + 1, math.floor(max(min(env_a, threshold), 0.0) * two_root * (1 - 1e-9)))
-        if collect_first:
-            unseen = np.flatnonzero(~seen[2::2])
-            w = min(w, 2 * int(unseen[0]) + 2 if unseen.size else seen.size)
+        # Each concern changes only with a gap d >= its w, so a segment without
+        # a gap reaching the least w changes only the pair count and the carried
+        # prime: a record needs d > the record, a first occurrence an unopened
+        # gap, and the envelope and the top-k a quotient a > env_a or a >=
+        # threshold, which needs d >= w_a (see _quotient_gap_bound).
+        w_rec = records[-1].g + 1 if records else 1
+        w_a = _quotient_gap_bound(min(env_a, threshold), two_root)
+        w = min(w_rec, w_a, w_first)
         if base + 2 * int(mask.argmax()) - p0 < w and not _may_hold_gap(mask, w):
             continue
 
         idx, d = _segment_pairs(base, mask, p0)
         d_max = int(d.max())
 
-        if d_max > record_g:
-            for j in _walk_rising(d, record_g):
+        if d_max >= w_rec:
+            for j in _rising(d, w_rec - 1).tolist():
                 g = int(d[j])
                 p = base + 2 * int(idx[j]) - g
                 records.append(GapRecord(p_L=p, p_L1=p + g, g=g, r=stable_sqrt_diff(p, p + g)))
                 pi[p] = n_prev + j
-            record_g = records[-1].g
 
-        if collect_first:
-            if d_max >= seen.size:
-                # no proven bound caps the gaps, so the table grows on demand
-                grown = np.zeros(max(2 * seen.size, d_max + 1), dtype=bool)
-                grown[: seen.size] = seen
-                seen = grown
-            for g, j in _new_gaps(d, seen):
-                first[g] = base + 2 * int(idx[j]) - g
+        if d_max >= w_first:
+            first_p = _first_openings(first_p, base, idx, d, w_first)
+            evens = first_p[2::2] != 0  # gaps 2, 4, 6, ... opened so far
+            w_first = 2 * (evens.size if evens.all() else int(evens.argmin())) + 2
 
-        # Every pair here has p >= p0, the segment's first p, and IEEE sqrt, +
-        # and / are monotone under round-to-nearest, so fl(sqrt q) + fl(sqrt p)
-        # >= 2 fl(sqrt p0) and a_j = fl(d_j / that sum) <= fl(d_j / (2 fl(sqrt p0)))
-        # =: bound_j.  A pair can enter the envelope (a > env_a) or the top-k
-        # (a >= threshold) only if its bound does; after (7, 11) that rules out
-        # nearly every segment from its d_max alone.
-        if d_max / two_root > env_a or d_max / two_root >= threshold:
-            sel, a = _candidate_quotients(base, idx, d, two_root, env_a, threshold)
+        if d_max >= w_a:
+            sel, a = _candidate_quotients(base, idx, d, w_a)
 
             def pair(i: int) -> tuple[int, int]:
                 q = base + 2 * int(idx[sel[i]])
                 return q - int(d[sel[i]]), q
 
-            rising = _walk_rising(a, env_a)
+            rising = _rising(a, env_a).tolist()
             for i in rising:
                 envelope.append((pair(i)[0], float(a[i])))
             if rising:
@@ -354,10 +335,7 @@ def scan_gaps(
                 if len(top) >= top_k:
                     # keep everything tied with the k-th best so ties resolve by p
                     threshold = top[top_k - 1][0]
-                    cut = top_k
-                    while cut < len(top) and top[cut][0] == threshold:
-                        cut += 1
-                    del top[cut:]
+                    top = [t for t in top if t[0] >= threshold]
 
     top_points = None
     if top_k is not None:
@@ -365,12 +343,13 @@ def scan_gaps(
             AndricaPoint(gap=PrimeGap(p, q), a=a) for a, p, q, _ in top[:top_k]
         )
         pi.update((p, n) for _, p, _, n in top[:top_k])
+    opened = np.flatnonzero(first_p)
     return GapScanResult(
         pair_count=pair_count,
         records=tuple(records),
         envelope=tuple(envelope),
         max_point=max_point,
-        first=dict(sorted(first.items())) if collect_first else None,
+        first=dict(zip(opened.tolist(), first_p[opened].tolist())) if collect_first else None,
         top=top_points,
         pi=pi,
     )

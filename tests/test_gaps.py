@@ -452,7 +452,7 @@ def test_triaged_scan_matches_a_numpy_fold():
 @pytest.mark.parametrize("segment_length", [16, 1000, None])
 def test_top_k_takes_pairs_from_later_segments(segment_length):
     # the top 500 of 2261 pairs spread far past the first segments, so every
-    # segment passes or fails the d_max / (2 sqrt p0) prefilter on its merits
+    # segment passes or fails the d_max >= w_a prefilter on its merits
     limit = 20000
     with sieve_segments(segment_length):
         result = gaps.scan_gaps(limit, top_k=500)
@@ -501,19 +501,66 @@ def test_segment_bound_is_never_below_a_quotient(p0, step, d, extra):
     assert gaps.stable_sqrt_diff(p, p + d) <= (d + extra) / (2.0 * math.sqrt(p0))
 
 
-@pytest.mark.parametrize("start,segment_length", [(1, 64), (2, None), (64, 16)])
-def test_first_occurrences_grow_the_seen_table(monkeypatch, start, segment_length):
-    monkeypatch.setattr(gaps, "_SEEN_START", start)
+@settings(max_examples=300, deadline=None)
+@given(
+    p0=st.integers(min_value=2, max_value=2**62),
+    dm=st.integers(min_value=1, max_value=1500),
+    offset=st.integers(min_value=-2, max_value=2),
+)
+def test_quotient_gap_bound_keeps_every_gap_that_reaches_m(p0, dm, offset):
+    # m is the segment bound of a gap dm, so a quotient bound lands exactly on
+    # it; every gap whose bound reaches m must pass the integer filter d >= w_a
+    two_root = 2.0 * math.sqrt(p0)
+    m = dm / two_root
+    d = dm + offset
+    if d >= 1 and d / two_root >= m:
+        assert d >= gaps._quotient_gap_bound(m, two_root)
+
+
+def _walk_rising(values, current):
+    """Indices where ``values`` sets successive new maxima above ``current``,
+    found one at a time."""
+    out = []
+    pos = 0
+    while pos < values.size:
+        above = np.nonzero(values[pos:] > current)[0]
+        if above.size == 0:
+            break
+        pos += int(above[0])
+        current = values[pos]
+        out.append(pos)
+        pos += 1
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.integers(min_value=-6, max_value=6), max_size=40),
+    current=st.integers(min_value=-8, max_value=8),
+    as_float=st.booleans(),
+)
+@example(values=[], current=0, as_float=False)
+@example(values=[], current=0, as_float=True)
+@example(values=[2, 2, 1, 3, 3], current=0, as_float=False)  # a tie is no new maximum
+@example(values=[2, 2, 1, 3, 3], current=2, as_float=True)  # nor is a tie with current
+@example(values=[1, 5, 3], current=7, as_float=False)  # current above every value
+@example(values=[1, 5, 3], current=7, as_float=True)
+def test_rising_maxima_match_a_walk(values, current, as_float):
+    if as_float:  # quarter steps: quotients are not integers
+        arr, current = np.array(values, dtype=np.float64) / 4, current / 4
+    else:
+        arr = np.array(values, dtype=np.int64)
+    assert gaps._rising(arr, current).tolist() == _walk_rising(arr, current)
+
+
+@pytest.mark.parametrize("segment_length", [64, None, 16])
+def test_first_occurrences_grow_the_table(segment_length):
+    # the table of first openings starts empty and grows with the largest gap
     with sieve_segments(segment_length):
         got = gaps.scan_gaps(_ORACLE_LIMIT, collect_first=True)
     expected = _brute_scan(_ORACLE_LIMIT, 1)["first"]
     assert got.first == expected
-    # gap 72 first opens at 31397: beyond the default table size
-    assert max(expected) > gaps._SEEN_START and expected[72] == 31397
-
-
-def test_default_seen_table_is_outgrown_by_an_ordinary_scan():
-    assert max(gaps.scan_gaps(10**5, collect_first=True).first) > gaps._SEEN_START
+    assert max(expected) == 72 and expected[72] == 31397  # the last growth
 
 
 def test_prime_index_of_records_and_top_pairs():
