@@ -30,7 +30,7 @@ from typing import IO, Sequence
 
 import gaplab
 from gaplab import gaps, heuristics, reference
-from gaplab.heuristics import DomainError, GapModel, GapModelKind
+from gaplab.heuristics import GAP_FORMS, MODELS, DomainError
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
@@ -44,24 +44,6 @@ _MAX_COUNT = 2**64 - 1
 # text stay near 1 MB.
 _TABLE1_CHUNK_ROWS = 1 << 13
 
-
-def _kernel_over(model: GapModel):
-    """r_kernel of the gap-size form ``model``, as a (x, pi_x=None) function."""
-    return lambda x, pi_x=None: heuristics.r_main(x, model, pi_x)
-
-
-# predict's models: the registry plus r_main_<form>, the kernel over each
-# gap-size form (g_wolf -> r_main_wolf, granville -> r_main_granville).
-_PREDICT_MODELS = {
-    **heuristics.MODELS,
-    **{
-        "r_main_" + name.removeprefix("g_"): (
-            _kernel_over(GapModel(kind)),
-            heuristics.MODELS[name][1],
-        )
-        for kind, name in heuristics.GAP_FORMS.items()
-    },
-}
 
 # Subcommands that scan the pairs with q < --limit.
 _SCANS = frozenset(
@@ -96,7 +78,7 @@ class RunConfig:
             for name, value in (("x", self.x), ("pi_x", self.pi_x)):
                 if value is not None and not math.isfinite(value):
                     raise DomainError(f"{name} must be finite, got {value}")
-            if self.pi_x is None and _PREDICT_MODELS[self.predict_model][1]:
+            if self.pi_x is None and MODELS[self.predict_model][1]:
                 raise DomainError(f"model {self.predict_model} requires pi_x")
 
 
@@ -147,13 +129,10 @@ class _LazyOutput:
 @contextlib.contextmanager
 def _open_output(path: str | None):
     """stdout, or ``path`` opened on the first write, so an error raised
-    before any output leaves an existing file untouched.  Opening ``path``
-    for appending first makes a path that cannot be created fail before the
-    command runs, without truncating it."""
+    before any output leaves an existing file untouched."""
     if path is None:
         yield sys.stdout
         return
-    open(path, "a", encoding="utf-8").close()
     out = _LazyOutput(path)
     try:
         yield out
@@ -256,19 +235,20 @@ def cmd_constants(cfg: RunConfig, out: IO[str]) -> None:
 
 
 def cmd_predict(cfg: RunConfig, out: IO[str]) -> None:
-    fn, needs_pi = _PREDICT_MODELS[cfg.predict_model]
+    fn, needs_pi = MODELS[cfg.predict_model]
     value = fn(cfg.x, cfg.pi_x) if needs_pi else fn(cfg.x)
     out.write(f"{_fmt(value)}\n")
 
 
 def _predicted_gap(cfg: RunConfig, x: int, pi: dict[int, int]) -> float:
     """Modelled G(x) at a record point; nan where the model is undefined."""
+    if cfg.model == "auto":
+        name = "g_wolf" if x <= cfg.limit else "g_gauss"
+    else:
+        name = GAP_FORMS[cfg.model]
+    fn, takes_pi = MODELS[name]
     try:
-        if cfg.model == "auto":
-            if x <= cfg.limit:
-                return heuristics.g_wolf(x, pi[x])
-            return heuristics.g_gauss(x)
-        return GapModel(GapModelKind(cfg.model))(x, pi.get(x))
+        return fn(x, pi[x]) if takes_pi else fn(x)
     except DomainError:
         return math.nan
 
@@ -390,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("predict", help="evaluate one model at a point")
-    p.add_argument("predict_model", metavar="model", choices=sorted(_PREDICT_MODELS),
-                   help="one of: " + ", ".join(sorted(_PREDICT_MODELS)))
+    p.add_argument("predict_model", metavar="model", choices=sorted(MODELS),
+                   help="one of: " + ", ".join(sorted(MODELS)))
     p.add_argument("x", type=float)
     p.add_argument("pi_x", type=float, nargs="?", default=None,
                    help="exact or approximate prime count, for the pi-based models")
@@ -404,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--emit-gnuplot", dest="emit_gnuplot", default=None,
                        help="also write a gnuplot script to this path")
         if name == "figure1":
-            p.add_argument("--model", choices=("auto", *(k.value for k in GapModelKind)),
+            p.add_argument("--model", choices=("auto", *GAP_FORMS),
                            default="auto")
             p.add_argument("--g-source", dest="g_source", choices=("model", "empirical"),
                            default="model", help="feed the kernel the modelled or the observed gap")
@@ -433,6 +413,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = RunConfig(**vars(namespace))
+        # Opening each output path for appending makes one that cannot be
+        # created fail before the command runs, without truncating it.
+        for path in (cfg.emit_gnuplot, cfg.output_path):
+            if path is not None:
+                open(path, "a", encoding="utf-8").close()
         with _open_output(cfg.output_path) as out:
             _COMMANDS[cfg.subcommand](cfg, out)
         _emit_gnuplot(cfg)

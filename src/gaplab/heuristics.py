@@ -11,8 +11,9 @@ Two families of formulas live here:
   (maximal at d = 16) and the closed Cramer form ``r_cramer_form``.
 
 ``MODELS`` is the one registry of these functions: name -> (function, takes
-pi(x)).  ``GapModel`` evaluates a gap-size form through it, and the CLI
-derives its ``predict`` and ``figure1 --model`` choices from it.
+pi(x)).  It also holds the main prediction over each gap-size form,
+``r_main_<form>`` = r_kernel(G(x)), and the CLI derives its ``predict`` and
+``figure1 --model`` choices from it.
 
 Everything is a pure function of floats.  Integer inputs above 2^53 are
 rounded to the nearest double on entry; that relative error (<= 2^-53) is
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -207,7 +207,9 @@ def r_cramer_form(x: float) -> float:
     return math.log(x) ** 1.5 / (2.0 * math.sqrt(x))
 
 
-# The one model registry: name -> (function, takes pi(x)).
+# The one model registry: name -> (function, takes pi(x)).  r_main_<form> is
+# the main prediction r_kernel(G(x)) over a gap-size form; the form's domain
+# errors propagate, and a negative G (degenerate small x) fails in r_kernel.
 MODELS: dict[str, tuple[Callable[..., float], bool]] = {
     "g_wolf": (g_wolf, True),
     "g_gauss": (g_gauss, False),
@@ -218,51 +220,19 @@ MODELS: dict[str, tuple[Callable[..., float], bool]] = {
     "r_kernel": (r_kernel, False),
     "r_shanks": (r_shanks, False),
     "r_cramer_form": (r_cramer_form, False),
+    "r_main_wolf": (lambda x, pi_x: r_kernel(g_wolf(x, pi_x)), True),
+    "r_main_gauss": (lambda x: r_kernel(g_gauss(x)), False),
+    "r_main_cramer": (lambda x: r_kernel(g_cramer(x)), False),
+    "r_main_granville": (lambda x: r_kernel(granville_bound(x)), False),
 }
 
-
-class GapModelKind(Enum):
-    """The gap-size forms G(x), by their ``figure1 --model`` names."""
-
-    WOLF_EXACT_PI = "wolf_exact_pi"
-    WOLF_GAUSS = "wolf_gauss"
-    CRAMER = "cramer"
-    GRANVILLE = "granville"
-
-
-# The MODELS entry of each gap-size form.
+# The MODELS entry of each gap-size form, by its ``figure1 --model`` name.
 GAP_FORMS = {
-    GapModelKind.WOLF_EXACT_PI: "g_wolf",
-    GapModelKind.WOLF_GAUSS: "g_gauss",
-    GapModelKind.CRAMER: "g_cramer",
-    GapModelKind.GRANVILLE: "granville",
+    "wolf_exact_pi": "g_wolf",
+    "wolf_gauss": "g_gauss",
+    "cramer": "g_cramer",
+    "granville": "granville",
 }
-
-
-@dataclass(frozen=True)
-class GapModel:
-    """A chosen gap-size form G(x), evaluated through ``MODELS``."""
-
-    kind: GapModelKind
-
-    def __call__(self, x: float, pi_x: float | None = None) -> float:
-        fn, takes_pi = MODELS[GAP_FORMS[self.kind]]
-        if not takes_pi:
-            return fn(x)
-        if pi_x is None:
-            raise DomainError(f"{self.kind.value} requires pi_x")
-        return fn(x, pi_x)
-
-
-def r_main(x: float, gap_model, pi_x: float | None = None) -> float:
-    """Main prediction: the kernel applied to the modelled gap size G(x).
-
-    ``gap_model`` is a :class:`GapModel` or any callable x -> G.  The
-    model's own domain errors propagate; a negative modelled G (possible
-    for degenerate small x) is rejected by ``r_kernel``.
-    """
-    g = gap_model(x, pi_x) if isinstance(gap_model, GapModel) else gap_model(x)
-    return r_kernel(g)
 
 
 # The kernels (1/2) d^alpha e^(-sqrt(d)/2) by name, with their exponent alpha.

@@ -45,10 +45,11 @@ MAX_PRIME_INPUT = 2**64 - 1
 # (Sinclair's 7-witness set, see miller-rabin.appspot.com).
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
-# Product of the odd primes up to 47: an input above them that shares a factor
-# with it is composite, which settles about 70% of odd inputs without a
-# Miller-Rabin round.
-_ODD_PRIMORIAL_47 = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
+# The odd primes up to 47, and their product: an input that shares a factor
+# with it is prime only if it is one of them, which settles about 70% of odd
+# inputs without a Miller-Rabin round.
+_ODD_PRIMES_TO_47 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_ODD_PRIMORIAL_47 = math.prod(_ODD_PRIMES_TO_47)
 
 # (p, inverse of 2 mod p) for the wheel primes baked into the segment init.
 _WHEEL_PRIMES = ((3, 2), (5, 3), (7, 4))
@@ -263,29 +264,18 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-_SMALL_SIEVE_BOUND = 1 << 16
-_small_sieve_flags: np.ndarray | None = None
-
-
 def is_prime(n: int) -> bool:
     """Exact deterministic primality for 0 <= n < 2^64.
 
-    Sieve lookup below 2^16, deterministic Miller-Rabin witnesses above;
-    the witness set is proven complete for all 64-bit inputs, so reference
-    tables with entries near 1.4e18 validate exactly.
+    Trial division by the primes up to 47 decides every n below 53^2 = 2809;
+    above, deterministic Miller-Rabin witnesses decide, and the witness set
+    is proven complete for all 64-bit inputs, so reference tables with
+    entries near 1.4e18 validate exactly.
     """
     if n < 0 or n > MAX_PRIME_INPUT:
         raise ValueError("is_prime expects 0 <= n < 2^64")
-    global _small_sieve_flags
-    if n < _SMALL_SIEVE_BOUND:
-        if _small_sieve_flags is None:
-            flags = np.ones(_SMALL_SIEVE_BOUND, dtype=bool)
-            flags[:2] = False
-            for p in range(2, math.isqrt(_SMALL_SIEVE_BOUND) + 1):
-                if flags[p]:
-                    flags[p * p :: p] = False
-            _small_sieve_flags = flags
-        return bool(_small_sieve_flags[n])
     if n % 2 == 0 or math.gcd(n, _ODD_PRIMORIAL_47) != 1:
-        return False
+        return n == 2 or n in _ODD_PRIMES_TO_47
+    if n < 53 * 53:  # no prime factor up to 47, so none at all unless n = 1
+        return n > 1
     return _miller_rabin(n)

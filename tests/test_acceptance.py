@@ -22,7 +22,6 @@ from mpmath import mp, mpf
 from mpmath import sqrt as mp_sqrt
 
 from gaplab import cli, gaps, heuristics, reference, sieve
-from gaplab.heuristics import GapModel, GapModelKind
 from tests.conftest import trial_division_primes
 
 LIMIT_1E9 = 10**9
@@ -204,9 +203,9 @@ def test_criterion_09d_cramer_composition():
     with criterion("9d kernel over ln^2 x equals the closed Cramer form"):
         import numpy as np
 
-        cramer = GapModel(GapModelKind.CRAMER)
+        r_main_cramer, _ = heuristics.MODELS["r_main_cramer"]
         for x in np.geomspace(3.0, 1e15, 1000):
-            lhs = heuristics.r_main(float(x), cramer)
+            lhs = r_main_cramer(float(x))
             rhs = heuristics.r_cramer_form(float(x))
             assert abs(lhs - rhs) <= 1e-12 * rhs
 

@@ -146,24 +146,24 @@ def test_model_choices_keep_their_names_and_order():
     ]
 
 
-_R_MAIN_FORMS = {
-    "r_main_wolf": heuristics.GapModelKind.WOLF_EXACT_PI,
-    "r_main_gauss": heuristics.GapModelKind.WOLF_GAUSS,
-    "r_main_cramer": heuristics.GapModelKind.CRAMER,
-    "r_main_granville": heuristics.GapModelKind.GRANVILLE,
+# r_main_<form> composed here from the plain functions, not read off MODELS
+_R_MAIN = {
+    "r_main_wolf": lambda x, pi_x: heuristics.r_kernel(heuristics.g_wolf(x, pi_x)),
+    "r_main_gauss": lambda x: heuristics.r_kernel(heuristics.g_gauss(x)),
+    "r_main_cramer": lambda x: heuristics.r_kernel(heuristics.g_cramer(x)),
+    "r_main_granville": lambda x: heuristics.r_kernel(heuristics.granville_bound(x)),
 }
 
 
 @pytest.mark.parametrize("name", _PREDICT_CHOICES)
 @pytest.mark.parametrize("x,pi_x", [(400, 78), (10**4, 1229), (123456.5, 11601)])
 def test_every_predict_model_prints_its_function(capsys, name, x, pi_x):
-    if name in _R_MAIN_FORMS:
+    if name in _R_MAIN:
         takes_pi = name == "r_main_wolf"
-        model = heuristics.GapModel(_R_MAIN_FORMS[name])
-        expected = heuristics.r_main(x, model, pi_x if takes_pi else None)
+        fn = _R_MAIN[name]
     else:
         fn, takes_pi = heuristics.MODELS[name]
-        expected = fn(x, pi_x) if takes_pi else fn(x)
+    expected = fn(x, pi_x) if takes_pi else fn(x)
     argv = ["predict", name, str(x)] + ([str(pi_x)] if takes_pi else [])
     rc, out = run(capsys, *argv)
     assert rc == 0
@@ -227,9 +227,9 @@ def test_figure1_forced_models(capsys, fixture_path):
     from gaplab import heuristics
 
     for model, expected_at_113 in [
-        ("cramer", heuristics.r_main(113, heuristics.GapModel(heuristics.GapModelKind.CRAMER))),
-        ("granville", heuristics.r_main(113, heuristics.GapModel(heuristics.GapModelKind.GRANVILLE))),
-        ("wolf_gauss", heuristics.r_main(113, heuristics.GapModel(heuristics.GapModelKind.WOLF_GAUSS))),
+        ("cramer", heuristics.r_kernel(heuristics.g_cramer(113))),
+        ("granville", heuristics.r_kernel(heuristics.granville_bound(113))),
+        ("wolf_gauss", heuristics.r_kernel(heuristics.g_gauss(113))),
     ]:
         rc, out = run(capsys, "figure1", "--limit", "130", "--model", model)
         assert rc == 0
@@ -273,6 +273,17 @@ def test_emit_gnuplot(tmp_path, fixture_path):
     assert rc == 0
     script = gp.read_text()
     assert "plot" in script and str(csv) in script
+
+
+def test_unwritable_gnuplot_path_fails_before_the_scan(tmp_path, monkeypatch, capsys, no_sieve):
+    monkeypatch.chdir(tmp_path)
+    argv = ["figure1", "--limit", "1e6", "--out", "x.csv",
+            "--emit-gnuplot", str(tmp_path / "missing" / "x.gp")]
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "No such file or directory" in captured.err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_exit_codes(tmp_path, capsys):

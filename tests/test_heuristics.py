@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaplab import heuristics as h
-from gaplab.heuristics import DomainError, GapModel, GapModelKind
+from gaplab.heuristics import DomainError
 from tests.conftest import sieve_segments
 
 # frozen from a 40-digit mpmath evaluation of the same closed forms
@@ -164,19 +164,20 @@ def test_r_cramer_form():
         h.r_cramer_form(0.9)
 
 
-def test_r_main_with_stub_model():
-    for x in (10.0, 1e3, 1e12):
-        assert h.r_main(x, lambda _x: 9.0) == h.r_kernel(9)
-
-
-def test_r_main_composition():
-    model = GapModel(GapModelKind.WOLF_EXACT_PI)
-    assert h.r_main(1e6, model, pi_x=78498) == pytest.approx(R_MAIN_WOLF_1E6, rel=1e-12)
-    with pytest.raises(DomainError):
-        h.r_main(1e6, model)  # pi_x required
+def test_r_main_models_are_the_kernel_over_each_gap_form():
+    assert set(h.GAP_FORMS.values()) <= set(h.MODELS)
+    x = 1e6
+    for form, g_name in h.GAP_FORMS.items():
+        g, takes_pi = h.MODELS[g_name]
+        r_main, r_takes_pi = h.MODELS["r_main_" + g_name.removeprefix("g_")]
+        assert r_takes_pi == takes_pi, form
+        args = (x, 78498) if takes_pi else (x,)
+        assert r_main(*args) == h.r_kernel(g(*args)), form
+    r_main_wolf, _ = h.MODELS["r_main_wolf"]
+    assert r_main_wolf(x, 78498) == pytest.approx(R_MAIN_WOLF_1E6, rel=1e-12)
     # negative modelled G (degenerate x) is rejected by the kernel
     with pytest.raises(DomainError):
-        h.r_main(3.0, GapModel(GapModelKind.WOLF_EXACT_PI), pi_x=1)
+        r_main_wolf(3.0, 1)
 
 
 def test_kernel_shape():
@@ -211,9 +212,9 @@ def test_gauss_identity_under_forced_pi():
 
 
 def test_cramer_composition_identity():
-    cramer = GapModel(GapModelKind.CRAMER)
+    r_main_cramer, _ = h.MODELS["r_main_cramer"]
     for x in np.geomspace(3.0, 1e15, 1000):
-        lhs = h.r_main(float(x), cramer)
+        lhs = r_main_cramer(float(x))
         rhs = h.r_cramer_form(float(x))
         assert abs(lhs - rhs) <= 1e-12 * max(rhs, 1e-300)
 
@@ -254,20 +255,6 @@ def test_kernel_argmax_is_the_clamped_closed_form(name, ends):
     # land above another whose exact value is larger
     for g in np.linspace(lo, hi, 401):
         assert kernel(float(g)) <= value + 4 * math.ulp(value)
-
-
-def test_gap_model_dispatch():
-    x = 1e6
-    assert GapModel(GapModelKind.WOLF_GAUSS)(x) == h.g_gauss(x)
-    assert GapModel(GapModelKind.CRAMER)(x) == h.g_cramer(x)
-    assert GapModel(GapModelKind.GRANVILLE)(x) == h.granville_bound(x)
-    assert GapModel(GapModelKind.WOLF_EXACT_PI)(x, 78498) == h.g_wolf(x, 78498)
-    with pytest.raises(DomainError, match="wolf_exact_pi requires pi_x"):
-        GapModel(GapModelKind.WOLF_EXACT_PI)(x)
-    main = GapModel(GapModelKind.WOLF_EXACT_PI)
-    assert h.r_main(x, main, 78498) == pytest.approx(R_MAIN_WOLF_1E6, rel=1e-12)
-    assert set(h.GAP_FORMS) == set(GapModelKind)
-    assert set(h.GAP_FORMS.values()) <= set(h.MODELS)
 
 
 @settings(max_examples=50, deadline=None)

@@ -33,7 +33,7 @@ def test_small_is_prime_matches_trial_division():
 
 
 def test_is_prime_exhaustive_below_1e5():
-    # crosses the sieve-lookup / Miller-Rabin boundary at 2^16
+    # crosses the trial-division / Miller-Rabin boundary at 53^2 = 2809
     flags = {p for p in trial_division_primes(0, 10**5)}
     for n in range(0, 10**5):
         assert sieve.is_prime(n) == (n in flags), n
