@@ -164,8 +164,7 @@ def test_r_cramer_form():
         h.r_cramer_form(0.9)
 
 
-def test_r_main_models_are_the_kernel_over_each_gap_form():
-    assert set(h.GAP_FORMS.values()) <= set(h.MODELS)
+def test_r_main_composition():
     x = 1e6
     for form, g_name in h.GAP_FORMS.items():
         g, takes_pi = h.MODELS[g_name]
@@ -255,6 +254,22 @@ def test_kernel_argmax_is_the_clamped_closed_form(name, ends):
     # land above another whose exact value is larger
     for g in np.linspace(lo, hi, 401):
         assert kernel(float(g)) <= value + 4 * math.ulp(value)
+
+
+def test_gap_model_dispatch():
+    x = 1e6
+    assert set(h.GAP_FORMS.values()) <= set(h.MODELS)
+    expected = {
+        "wolf_exact_pi": (h.g_wolf, True),
+        "wolf_gauss": (h.g_gauss, False),
+        "cramer": (h.g_cramer, False),
+        "granville": (h.granville_bound, False),
+    }
+    assert {form: h.MODELS[name] for form, name in h.GAP_FORMS.items()} == expected
+    g_wolf, _ = h.MODELS[h.GAP_FORMS["wolf_exact_pi"]]
+    assert g_wolf(x, 78498) == h.g_wolf(x, 78498)
+    r_main_wolf, _ = h.MODELS["r_main_wolf"]
+    assert r_main_wolf(x, 78498) == pytest.approx(R_MAIN_WOLF_1E6, rel=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
