@@ -5,8 +5,8 @@ against the bundled published list.
 With --limit 1e9 (2.6-3.0 CPU s and 40 MB on one core of a 2-core Intel
 Xeon with numpy 2.4.6) this reproduces the first 30 published records
 exactly; any divergence is printed and exits 1.  Exit codes follow the
-gaplab CLI otherwise: 2 for a bad --limit or --threads, 4 when the output
-cannot be written (a closed pipe, say).
+gaplab CLI otherwise: 2 for a bad --limit, 4 when the output cannot be
+written (a closed pipe, say).
 """
 
 import argparse
@@ -21,16 +21,15 @@ from gaplab.cli import IO_ERROR, _parse_count
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--limit", type=_parse_count, default=10**8)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     try:
-        gaps._scan_plan(args.limit, args.threads)  # the library's own checks; sieves nothing
+        gaps._scan_plan(args.limit)  # the library's own checks; sieves nothing
     except ValueError as exc:
         ap.error(str(exc))
 
     t0 = time.perf_counter()
-    table = gaps.max_gap_records(args.limit, threads=args.threads)
+    table = gaps.max_gap_records(args.limit)
     elapsed = time.perf_counter() - t0
 
     bundled = reference.load_bundled_table()

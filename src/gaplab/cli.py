@@ -13,9 +13,10 @@ Subcommands::
     figure2     (x, observed R, Cramer form, Shanks form) per record
 
 Every CSV starts with '#'-prefixed metadata followed by a column-name row.
-Output bytes depend only on the semantic parameters (never on --threads),
-so reruns diff clean.  Exit codes: 0 ok, 2 usage, 3 bad or inconsistent
-data, 4 I/O.
+Output bytes depend only on the semantic parameters, so reruns diff clean.
+--threads is accepted and checked (at least 1) for existing command lines,
+but every scan runs on one thread.  Exit codes: 0 ok, 2 usage, 3 bad or
+inconsistent data, 4 I/O; a failing command removes the files it created.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ _MAX_COUNT = 2**64 - 1
 # text stay near 1 MB.
 _TABLE1_CHUNK_ROWS = 1 << 13
 
+_THREADS_HELP = "accepted for compatibility (at least 1); scans run on one thread"
+
 
 # Subcommands that scan the pairs with q < --limit.
 _SCANS = frozenset(
@@ -68,18 +71,20 @@ class RunConfig:
     pi_x: float | None = None
 
     def __post_init__(self) -> None:
-        """Reject bad input before any output is opened or written: the
-        library's own checks, which sieve nothing, and ``predict``'s input."""
+        """Reject bad input before any output is opened or written: the library's
+        own checks, which sieve nothing, ``predict``'s input and ``threads``."""
         if self.subcommand in _SCANS:
-            gaps._scan_plan(self.limit, self.threads, self.top_k)
+            gaps._scan_plan(self.limit, self.top_k)
         elif self.subcommand == "constants":
-            heuristics._twin_blocks(self.prime_limit, self.threads)
+            heuristics._twin_blocks(self.prime_limit)
         elif self.subcommand == "predict":
             for name, value in (("x", self.x), ("pi_x", self.pi_x)):
                 if value is not None and not math.isfinite(value):
                     raise DomainError(f"{name} must be finite, got {value}")
             if self.pi_x is None and MODELS[self.predict_model][1]:
                 raise DomainError(f"model {self.predict_model} requires pi_x")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
 
 
 def _parse_count(text: str) -> int:
@@ -153,7 +158,7 @@ def _record_table(cfg: RunConfig) -> tuple[gaps.GapRecordTable, dict[int, int]]:
     """The record table, merged with ``--ref`` if given, and pi(x) for every
     record x <= limit, all from one scan."""
     ref = _load_reference(cfg)
-    result = gaps.scan_gaps(cfg.limit, threads=cfg.threads)
+    result = gaps.scan_gaps(cfg.limit)
     table = gaps.GapRecordTable(records=result.records)
     if ref is None:
         return table, result.pi
@@ -172,7 +177,7 @@ def _record_table(cfg: RunConfig) -> tuple[gaps.GapRecordTable, dict[int, int]]:
 def cmd_table1(cfg: RunConfig, out: IO[str]) -> None:
     _header(out, cfg, f"limit={cfg.limit}")
     out.write("p_n,p_n1,d_n,A_n\n")
-    for p_block, q_block in gaps._pairs(cfg.limit, cfg.threads):
+    for p_block, q_block in gaps._pairs(cfg.limit):
         for lo in range(0, p_block.size, _TABLE1_CHUNK_ROWS):
             p = p_block[lo : lo + _TABLE1_CHUNK_ROWS]
             q = q_block[lo : lo + _TABLE1_CHUNK_ROWS]
@@ -182,7 +187,7 @@ def cmd_table1(cfg: RunConfig, out: IO[str]) -> None:
 
 
 def cmd_table2(cfg: RunConfig, out: IO[str]) -> None:
-    result = gaps.scan_gaps(cfg.limit, top_k=cfg.top_k, threads=cfg.threads)
+    result = gaps.scan_gaps(cfg.limit, top_k=cfg.top_k)
     _header(out, cfg, f"limit={cfg.limit}", f"top={cfg.top_k}")
     out.write("n,p_n,p_n1,d_n,A_n\n")
     for pt in result.top:
@@ -205,7 +210,7 @@ def cmd_records(cfg: RunConfig, out: IO[str]) -> None:
 
 
 def cmd_first_gaps(cfg: RunConfig, out: IO[str]) -> None:
-    result = gaps.scan_gaps(cfg.limit, collect_first=True, threads=cfg.threads)
+    result = gaps.scan_gaps(cfg.limit, collect_first=True)
     _header(out, cfg, f"limit={cfg.limit}")
     out.write("d,p_f\n")
     for d, p_f in result.first.items():
@@ -213,7 +218,7 @@ def cmd_first_gaps(cfg: RunConfig, out: IO[str]) -> None:
 
 
 def cmd_verify(cfg: RunConfig, out: IO[str]) -> None:
-    result = gaps.scan_gaps(cfg.limit, threads=cfg.threads)
+    result = gaps.scan_gaps(cfg.limit)
     point = result.max_point  # None only when no pair lies below the limit
     if point is None:
         flag, max_a, at = "true", 0.0, "none"
@@ -226,7 +231,7 @@ def cmd_verify(cfg: RunConfig, out: IO[str]) -> None:
 
 
 def cmd_constants(cfg: RunConfig, out: IO[str]) -> None:
-    estimate = heuristics.twin_constant(cfg.prime_limit, threads=cfg.threads)
+    estimate = heuristics.twin_constant(cfg.prime_limit)
     consts = heuristics.HeuristicConstants.from_c2(estimate.value)
     out.write(f"C2={_fmt(consts.C2)}\n")
     out.write(f"c_prime={_fmt(consts.c_prime)}\n")
@@ -344,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--limit", type=_parse_count, default=limit_default,
                        help="scan bound (pairs with q < limit); accepts 1e9 notation")
         p.add_argument("--out", dest="output_path", default=None, help="output file (default stdout)")
-        p.add_argument("--threads", type=int, default=1, help="sieve worker threads")
+        p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
     p = sub.add_parser("table1", help="pairs with Andrica differences, 9 decimals")
     add_common(p, 114)
@@ -367,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime-limit", dest="prime_limit", type=_parse_count, default=10**6,
                    help="truncation bound of the twin-prime product")
     p.add_argument("--out", dest="output_path", default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
     p = sub.add_parser("predict", help="evaluate one model at a point")
     p.add_argument("predict_model", metavar="model", choices=sorted(MODELS),
@@ -411,33 +416,38 @@ def main(argv: Sequence[str] | None = None) -> int:
         namespace = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    created: list[str] = []  # output paths made by the check below
     try:
         cfg = RunConfig(**vars(namespace))
-        # Opening each output path for appending makes one that cannot be
-        # created fail before the command runs, without truncating it.
+        # Checking each output path first makes one that cannot be created
+        # fail before the command runs; an existing file is not truncated.
         for path in (cfg.emit_gnuplot, cfg.output_path):
-            if path is not None:
+            if path is None:
+                continue
+            try:
+                open(path, "x", encoding="utf-8").close()
+                created.append(path)
+            except FileExistsError:
                 open(path, "a", encoding="utf-8").close()
         with _open_output(cfg.output_path) as out:
             _COMMANDS[cfg.subcommand](cfg, out)
         _emit_gnuplot(cfg)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-    except DomainError as exc:
+    except ValueError as exc:  # DomainError and ReferenceTableError among them
         print(f"gaplab: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except reference.ReferenceTableError as exc:
-        print(f"gaplab: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except ValueError as exc:
-        print(f"gaplab: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        code = DATA_ERROR if isinstance(exc, reference.ReferenceTableError) else USAGE_ERROR
     except OSError as exc:
         if isinstance(exc, BrokenPipeError):
             # the interpreter flushes stdout again at exit; let that write go nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"gaplab: {exc}", file=sys.stderr)
-        return IO_ERROR
-    return 0
+        code = IO_ERROR
+    else:
+        return 0
+    for path in created:  # a failed command leaves no file of its own behind
+        with contextlib.suppress(OSError):
+            os.remove(path)
+    return code
 
 
 if __name__ == "__main__":

@@ -126,21 +126,21 @@ class GapScanResult:
     pi: dict[int, int] = field(default_factory=dict)
 
 
-def _scan_plan(limit: int, threads: int, top_k: int | None = None) -> tuple[range, int]:
+def _scan_plan(limit: int, top_k: int | None = None) -> range:
     """Check a scan's input; return the sieve plan of [0, limit)."""
     if top_k is not None and top_k < 1:
         raise ValueError("top_k must be >= 1")
     if limit < 3:
         raise ValueError("limit must be >= 3")
-    return sieve._plan(0, limit, threads)
+    return sieve._plan(0, limit)
 
 
-def _walk(starts: range, workers: int) -> Iterator[tuple[int, np.ndarray, int]]:
+def _walk(starts: range) -> Iterator[tuple[int, np.ndarray, int]]:
     """Yield ``(base, mask, prev)`` for every segment of a :func:`_scan_plan`:
     its primes are base + 2*i for each set ``mask[i]``, and ``prev`` is the
     last prime before it (2 before the first), so no boundary gap is dropped."""
     prev = 2
-    for _, _, base, mask in sieve._iter_masks(starts, workers):
+    for _, _, base, mask in sieve._iter_masks(starts):
         yield base, mask, prev
         span = 64  # a prime lies near nearly every end: look back in growing windows
         while not (tail := np.flatnonzero(mask[-span:])).size and span < mask.size:
@@ -178,15 +178,14 @@ def _may_hold_gap(mask: np.ndarray, w: int) -> bool:
     return bool(run.any())
 
 
-def _pairs(limit: int, threads: int = 1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _pairs(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The (p, q) int64 arrays of the pairs with q < limit, one per segment.
 
     The input is checked at the call.  Both are built in the walk's own
     arrays of the segment, so no segment holds more than its index and gap
     arrays.
     """
-    plan = _scan_plan(limit, threads)
-    return (_pair_arrays(*segment) for segment in _walk(*plan))
+    return (_pair_arrays(*segment) for segment in _walk(_scan_plan(limit)))
 
 
 def _pair_arrays(base: int, mask: np.ndarray, prev: int) -> tuple[np.ndarray, np.ndarray]:
@@ -255,7 +254,6 @@ def scan_gaps(
     *,
     top_k: int | None = None,
     collect_first: bool = False,
-    threads: int = 1,
 ) -> GapScanResult:
     """One fold over all consecutive-prime pairs with q < limit.
 
@@ -265,7 +263,7 @@ def scan_gaps(
     ``pi`` of the result holds the prime count below every record p_L and
     every top-k p.
     """
-    plan = _scan_plan(limit, threads, top_k)
+    plan = _scan_plan(limit, top_k)
     pi: dict[int, int] = {}
 
     pair_count = 0
@@ -278,7 +276,7 @@ def scan_gaps(
     threshold = -math.inf if top_k is not None else math.inf  # k-th best a so far
     w_first = 1 if collect_first else math.inf  # gap 1, (2, 3), opens the first pair
 
-    for base, mask, p0 in _walk(*plan):
+    for base, mask, p0 in _walk(plan):
         n_prev = pair_count
         pair_count += int(np.count_nonzero(mask))
         if pair_count == n_prev:
@@ -355,15 +353,15 @@ def scan_gaps(
     )
 
 
-def gap_stream(limit: int, *, threads: int = 1) -> Iterator[PrimeGap]:
+def gap_stream(limit: int) -> Iterator[PrimeGap]:
     """Consecutive-prime pairs (p, q) with q < limit, ascending in p; checked at the call."""
     return (
         PrimeGap(p, q)
-        for p_block, q_block in _pairs(limit, threads)
+        for p_block, q_block in _pairs(limit)
         for p, q in zip(p_block.tolist(), q_block.tolist())
     )
 
 
-def max_gap_records(limit: int, *, threads: int = 1) -> GapRecordTable:
+def max_gap_records(limit: int) -> GapRecordTable:
     """The step function of record gaps: every pair whose gap beats all earlier ones."""
-    return GapRecordTable(records=scan_gaps(limit, threads=threads).records)
+    return GapRecordTable(records=scan_gaps(limit).records)

@@ -89,15 +89,15 @@ def _truncation_tail_bound(prime_limit: int, value: float) -> float:
     return value * sum_bound / (1.0 - u_max)
 
 
-def _twin_blocks(prime_limit: int, threads: int):
+def _twin_blocks(prime_limit: int):
     """The prime blocks of [2, prime_limit), checked at the call.  Past 2 they
     match those of [3, prime_limit): both cut segments at the same odd numbers."""
     if prime_limit < 3:
         raise ValueError("prime_limit must be >= 3")
-    return sieve.iter_prime_blocks(2, prime_limit, threads=threads)
+    return sieve.iter_prime_blocks(2, prime_limit)
 
 
-def twin_constant(prime_limit: int, *, threads: int = 1) -> TwinConstantEstimate:
+def twin_constant(prime_limit: int) -> TwinConstantEstimate:
     """Truncated twin-prime product 2*prod_{2<p<prime_limit}(1 - 1/(p-1)^2).
 
     Accumulated as a sum of log1p terms (direct multiplication of 78k
@@ -105,7 +105,7 @@ def twin_constant(prime_limit: int, *, threads: int = 1) -> TwinConstantEstimate
     the truncation error in ``tail_bound``.  The empty product at 3 is 2.
     """
     partial_sums = []
-    for block in _twin_blocks(prime_limit, threads):
+    for block in _twin_blocks(prime_limit):
         pf = block[block.searchsorted(3) :].astype(np.float64)  # the odd primes
         partial_sums.append(float(np.sum(np.log1p(-1.0 / (pf - 1.0) ** 2))))
     value = 2.0 * math.exp(math.fsum(partial_sums))

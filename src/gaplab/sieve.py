@@ -16,22 +16,17 @@ Conventions used throughout the package:
   off-by-one here would silently skew every predictor built on top of it.
 * ranges are half-open ``[lo, hi)``.
 
-Every sieve-backed call checks its range and thread count in one place,
-:func:`_plan`, when it is made.  The plan is a ``range`` of segment starts,
-so its memory does not depend on the limit.
-
-Segments are independent once the base primes (<= sqrt(hi)) are known, so
-they may be sieved by a small thread pool; results are always delivered in
-segment order, which keeps every consumer deterministic regardless of the
-``threads`` setting.
+Every sieve-backed call checks its range in one place, :func:`_plan`, when
+it is made.  The plan is a ``range`` of segment starts, so its memory does
+not depend on the limit.  Segments are sieved one after another, in order,
+on the calling thread; the base-prime cache is locked, so a caller may still
+sieve from more than one thread of its own.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator
 
 import numpy as np
@@ -60,22 +55,15 @@ _WHEEL = 105
 _LARGE_CHUNK = 1 << 20
 
 
-def _plan(lo: int, hi: int, threads: int) -> tuple[range, int]:
-    """Check a sieve request; return its segment starts and worker count.
-
-    More workers than usable CPUs or segments could not run at once and
-    would only hold more masks.
-    """
+def _plan(lo: int, hi: int) -> range:
+    """Check a sieve request; return its segment starts."""
     if lo < 0 or hi < 0:
         raise ValueError("range bounds must be non-negative")
     if lo >= hi:
         raise ValueError(f"empty or reversed range [{lo}, {hi})")
     if hi > MAX_SIEVE_BOUND:
         raise ValueError(f"sieve range bound {hi} exceeds {MAX_SIEVE_BOUND}")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    starts = range(lo, hi, 2 * SEGMENT_LENGTH)
-    return starts, min(threads, _usable_cpus(), len(starts))
+    return range(lo, hi, 2 * SEGMENT_LENGTH)
 
 
 # Odd primes in [11, bound] for the largest bound sieved so far.  Bound and
@@ -110,7 +98,7 @@ def _grow_base_primes(primes: np.ndarray, cached_bound: int, bound: int) -> np.n
     grown = np.empty(int(1.25506 * bound / math.log(bound)) + 1, dtype=np.int64)
     grown[: primes.size] = primes
     count = primes.size
-    for _, _, first, mask in _iter_masks(*_plan(cached_bound + 1, bound + 1, 1)):
+    for _, _, first, mask in _iter_masks(_plan(cached_bound + 1, bound + 1)):
         found = np.flatnonzero(mask)
         grown[count : count + found.size] = first + 2 * found
         count += found.size
@@ -177,44 +165,20 @@ def _odd_mask(lo: int, hi: int, base: np.ndarray) -> tuple[int, np.ndarray]:
     return first, mask
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity set where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _iter_masks(starts: range, workers: int) -> Iterator[tuple[int, int, int, np.ndarray]]:
+def _iter_masks(starts: range) -> Iterator[tuple[int, int, int, np.ndarray]]:
     """Yield ``(seg_lo, seg_hi, first_odd, mask)`` for each segment of a
-    :func:`_plan`, in segment order, sieved by ``workers`` threads."""
+    :func:`_plan`, in segment order."""
     hi = starts.stop
     base = _base_primes(math.isqrt(hi - 1))
-
-    def work(seg_lo: int) -> tuple[int, int, int, np.ndarray]:
+    for seg_lo in starts:
         seg_hi = min(seg_lo + starts.step, hi)
-        return (seg_lo, seg_hi, *_odd_mask(seg_lo, seg_hi, base))
-
-    if workers <= 1:
-        for seg_lo in starts:
-            yield work(seg_lo)
-        return
-
-    # Bounded look-ahead: keep at most 2*workers segments in flight so a slow
-    # consumer never piles up hundreds of masks in memory.
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = [pool.submit(work, seg_lo) for seg_lo in starts[: 2 * workers]]
-        for seg_lo in starts[2 * workers :]:
-            done = pending.pop(0).result()
-            pending.append(pool.submit(work, seg_lo))
-            yield done
-        while pending:
-            yield pending.pop(0).result()
+        yield (seg_lo, seg_hi, *_odd_mask(seg_lo, seg_hi, base))
 
 
-def iter_prime_blocks(lo: int, hi: int, *, threads: int = 1) -> Iterator[np.ndarray]:
+def iter_prime_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
     """The primes of ``[lo, hi)`` as one ascending int64 array per segment,
     lazily: the input is checked at the call, sieving starts at the first next()."""
-    masks = _iter_masks(*_plan(lo, hi, threads))
+    masks = _iter_masks(_plan(lo, hi))
     return (_primes_of(*segment) for segment in masks)
 
 
@@ -225,19 +189,19 @@ def _primes_of(seg_lo: int, seg_hi: int, first: int, mask: np.ndarray) -> np.nda
     return block
 
 
-def primes_in_range(lo: int, hi: int, *, threads: int = 1) -> np.ndarray:
+def primes_in_range(lo: int, hi: int) -> np.ndarray:
     """All primes p with ``lo <= p < hi``, ascending, as an int64 array."""
-    blocks = iter_prime_blocks(lo, hi, threads=threads)
+    blocks = iter_prime_blocks(lo, hi)
     return np.concatenate(list(blocks))  # a valid range has at least one block
 
 
-def prime_count(x: int, *, threads: int = 1) -> int:
+def prime_count(x: int) -> int:
     """Number of primes strictly below x."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    plan = _plan(0, max(x, 1), threads)  # x = 0 plans [0, 1): no prime
+    plan = _plan(0, max(x, 1))  # x = 0 plans [0, 1): no prime
     total = int(x > 2)  # the prime 2, which the odd-only masks leave out
-    for _, _, _, mask in _iter_masks(*plan):
+    for _, _, _, mask in _iter_masks(plan):
         total += int(np.count_nonzero(mask))
     return total
 

@@ -286,6 +286,20 @@ def test_unwritable_gnuplot_path_fails_before_the_scan(tmp_path, monkeypatch, ca
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "--threads", "0"], "threads must be >= 1"),
+        (["verify", "--limit", "2", "--threads", "0"], "limit must be >= 3"),
+        (["table2", "--top", "0", "--threads", "0"], "top_k must be >= 1"),
+    ],
+)
+def test_threads_flag_is_checked_after_the_scan_input(capsys, no_sieve, argv, message):
+    # --threads has no effect, but a value below 1 stays a usage error
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"gaplab: {message}\n")
+
+
 def test_exit_codes(tmp_path, capsys):
     bad_ref = tmp_path / "bad.txt"
     bad_ref.write_text("14 115\n")
@@ -347,6 +361,11 @@ def test_early_errors_leave_the_output_untouched(tmp_path, monkeypatch, fixture_
     assert cli.main(argv) == code
     assert cli.main(argv + ["--out", str(keep)]) == code
     assert keep.read_bytes() == b"keep me\n"
+    # output files the failed command created itself are removed again
+    new = ["--out", "new.csv"] + (["--emit-gnuplot", "new.gp"] if argv[0] == "figure1" else [])
+    assert cli.main(argv + new) == code
+    assert keep.read_bytes() == b"keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "keep.csv"]
 
 
 @pytest.mark.parametrize(
@@ -390,12 +409,11 @@ def _table1_oracle(limit):
 @given(
     limit=st.integers(min_value=3, max_value=_TABLE1_ORACLE_LIMIT),
     segment=st.integers(min_value=1, max_value=256),
-    threads=st.sampled_from([1, 2]),
     chunk_rows=st.integers(min_value=1, max_value=7),
 )
-def test_table1_bytes_match_trial_division(limit, segment, threads, chunk_rows):
+def test_table1_bytes_match_trial_division(limit, segment, chunk_rows):
     # tiny write chunks and segments put both kinds of edge mid-output
-    argv = ["table1", "--limit", str(limit), "--threads", str(threads)]
+    argv = ["table1", "--limit", str(limit)]
     out = io.StringIO()
     with (
         sieve_segments(segment),
@@ -477,10 +495,10 @@ def test_one_sieve_pass_from_zero(monkeypatch, capsys, fixture_path, command):
     calls = []
     iter_masks = sieve._iter_masks
 
-    def counting(starts, workers):
+    def counting(starts):
         if starts.start == 0:  # base-prime growth sieves from above 10, not from 0
             calls.append((starts.start, starts.stop))
-        return iter_masks(starts, workers)
+        return iter_masks(starts)
 
     monkeypatch.setattr(sieve, "_iter_masks", counting)
     argv = [command, "--limit", "1e5"] + (["--ref", fixture_path] if command == "figure1" else [])

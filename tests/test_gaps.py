@@ -70,13 +70,12 @@ def test_gap_stream_segment_invariance(limit, exponent):
 @given(
     limit=st.integers(min_value=3, max_value=20000),
     segment=st.integers(min_value=1, max_value=64),
-    threads=st.sampled_from([1, 2]),
 )
-def test_pair_blocks_outlive_their_segment(limit, segment, threads):
+def test_pair_blocks_outlive_their_segment(limit, segment):
     # p and q are built in the walk's arrays of each segment; blocks kept
     # until the walk ends must not have been overwritten by later segments
     with sieve_segments(segment):
-        blocks = list(gaps._pairs(limit, threads))
+        blocks = list(gaps._pairs(limit))
     primes = trial_division_primes(0, limit)
     assert np.concatenate([p for p, _ in blocks]).tolist() == primes[:-1]
     assert np.concatenate([q for _, q in blocks]).tolist() == primes[1:]
@@ -303,9 +302,6 @@ def test_scan_rejects_tiny_limits():
     for top_k in (0, -1):
         with pytest.raises(ValueError, match="top_k must be >= 1"):
             gaps.scan_gaps(100, top_k=top_k)
-    for threads in (0, -3):
-        with pytest.raises(ValueError, match="threads must be >= 1"):
-            gaps.scan_gaps(100, threads=threads)
 
 
 # --- the fold on the sieve mask against brute-force rescans -------------------

@@ -27,39 +27,27 @@ _BOUND_CALLS = {
     "twin_constant": (heuristics.twin_constant, "prime_limit must be >= 3"),
 }
 
-_BAD_KWARGS = [({"threads": 0}, "threads must be >= 1")]
-
 
 def _cases():
     for name, call in _RANGE_CALLS.items():
-        yield name, call, (10, 5), {}, r"empty or reversed range \[10, 5\)"
-        yield name, call, (-1, 10), {}, "range bounds must be non-negative"
-        yield name, call, (0, TOO_BIG), {}, "sieve range bound .* exceeds"
-        for kwargs, message in _BAD_KWARGS:
-            yield name, call, (0, 100), kwargs, message
+        yield name, call, (10, 5), r"empty or reversed range \[10, 5\)"
+        yield name, call, (-1, 10), "range bounds must be non-negative"
+        yield name, call, (0, TOO_BIG), "sieve range bound .* exceeds"
     for name, (call, below_three) in _BOUND_CALLS.items():
-        yield name, call, (-1,), {}, below_three or "x must be >= 0"
-        yield name, call, (TOO_BIG,), {}, "sieve range bound .* exceeds"
-        for kwargs, message in _BAD_KWARGS:
-            yield name, call, (100,), kwargs, message
-        if below_three is None:  # x <= 2 is checked like any other x
-            for kwargs, message in _BAD_KWARGS:
-                yield name, call, (2,), kwargs, message
-        else:
-            yield name, call, (2,), {}, below_three
+        yield name, call, (-1,), below_three or "x must be >= 0"
+        yield name, call, (TOO_BIG,), "sieve range bound .* exceeds"
+        if below_three is not None:
+            yield name, call, (2,), below_three
 
 
 _CASES = list(_cases())
 
 
 @pytest.mark.parametrize(
-    "call,args,kwargs,message",
+    "call,args,message",
     [case[1:] for case in _CASES],
-    ids=[
-        name + repr(args) + "".join(f"-{k}={v}" for k, v in kwargs.items())
-        for name, _, args, kwargs, _ in _CASES
-    ],
+    ids=[name + repr(args) for name, _, args, _ in _CASES],
 )
-def test_bad_input_is_rejected_at_call_time(no_sieve, call, args, kwargs, message):
+def test_bad_input_is_rejected_at_call_time(no_sieve, call, args, message):
     with pytest.raises(ValueError, match=message):
-        call(*args, **kwargs)
+        call(*args)

@@ -65,7 +65,7 @@ def test_cli_reports_a_closed_pipe(args, unbuffered):
 
 @pytest.mark.parametrize(
     "args,message",
-    [(["--limit", "2"], "limit must be >= 3"), (["--threads", "0"], "threads must be >= 1")],
+    [(["--limit", "2"], "limit must be >= 3")],
 )
 def test_scan_records_usage_errors(args, message):
     done = _run_script("scan_records.py", args, capture_output=True)

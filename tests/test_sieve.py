@@ -1,5 +1,4 @@
 import math
-import os
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -91,13 +90,6 @@ def test_is_prime_known_hard_composites():
         sieve.is_prime(2**64)
 
 
-def test_threads_do_not_change_results():
-    one = sieve.primes_in_range(0, 2 * 10**6, threads=1)
-    with sieve_segments(1 << 14):
-        four = sieve.primes_in_range(0, 2 * 10**6, threads=4)
-    assert np.array_equal(one, four)
-
-
 def test_invalid_ranges():
     with pytest.raises(ValueError):
         sieve.primes_in_range(10, 10)
@@ -105,17 +97,11 @@ def test_invalid_ranges():
         sieve.primes_in_range(-1, 10)
     with pytest.raises(ValueError):
         sieve.prime_count(-1)
-    for threads in (0, -3):
-        for x in (10, 2):  # x <= 2 is checked like any other x
-            with pytest.raises(ValueError, match="threads must be >= 1"):
-                sieve.prime_count(x, threads=threads)
-        with pytest.raises(ValueError, match="threads must be >= 1"):
-            sieve.primes_in_range(0, 10, threads=threads)
 
 
 def test_segment_tiling_and_validation():
     with sieve_segments(1 << 14):
-        segs = [(lo, hi) for lo, hi, _, _ in sieve._iter_masks(*sieve._plan(0, 10**6, 1))]
+        segs = [(lo, hi) for lo, hi, _, _ in sieve._iter_masks(sieve._plan(0, 10**6))]
     assert segs[0][0] == 0 and segs[-1][1] == 10**6
     for (lo, hi), (next_lo, _) in zip(segs, segs[1:]):
         assert hi == next_lo
@@ -126,13 +112,13 @@ def test_segment_plan_stays_flat(no_sieve):
     hi = 10**18
     tracemalloc.start()
     try:
-        starts, workers = sieve._plan(0, hi, 2)
+        starts = sieve._plan(0, hi)
         sieve.iter_prime_blocks(0, hi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert starts.stop == hi and workers >= 1
+    assert starts.stop == hi
 
 
 # Windows far from 0, a few thousand values wide.  n/32 is 31 to 62 here (n
@@ -206,58 +192,3 @@ def test_record_916_endpoints_are_adjacent():
     got = sieve.primes_in_range(p - 5000, p + 916 + 5000)
     i = int(np.searchsorted(got, p))
     assert got[i] == p and got[i + 1] == p + 916
-
-
-class _RecordingPool:
-    """Stands in for ThreadPoolExecutor: runs each task at submit time, on the
-    calling thread, and records the pool size and the peak of unread futures."""
-
-    sizes: list[int] = []
-    peak_pending = 0
-
-    def __init__(self, max_workers):
-        type(self).sizes.append(max_workers)
-        self.pending = 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        self.pending += 1
-        type(self).peak_pending = max(type(self).peak_pending, self.pending)
-        value = fn(*args)
-        pool = self
-
-        class Done:
-            def result(self):
-                pool.pending -= 1
-                return value
-
-        return Done()
-
-
-@pytest.mark.parametrize(
-    "threads,cpus,limit,workers",
-    [(1000, 3, 20000, 3), (1000, 64, 2000, 5), (2, 64, 20000, 2), (1000, 1, 20000, None)],
-)
-def test_worker_threads_are_bounded(monkeypatch, threads, cpus, limit, workers):
-    # no real threads: the pool is replaced, and the CPU count is pretended
-    monkeypatch.setattr(sieve, "ThreadPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(sieve, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(_RecordingPool, "peak_pending", 0)
-    with sieve_segments(200):  # 400 integers per segment
-        count = sieve.prime_count(limit, threads=threads)
-    assert count == len(trial_division_primes(0, limit))
-    if workers is None:
-        assert _RecordingPool.sizes == []
-    else:
-        assert _RecordingPool.sizes == [workers]
-        assert 0 < _RecordingPool.peak_pending <= 2 * workers
-
-
-def test_usable_cpus_is_positive():
-    assert 1 <= sieve._usable_cpus() <= (os.cpu_count() or 1)
