@@ -429,6 +429,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 created.append(path)
             except FileExistsError:
                 open(path, "a", encoding="utf-8").close()
+        gnuplot, output = cfg.emit_gnuplot, cfg.output_path
+        if gnuplot is not None and output is not None and os.path.samefile(gnuplot, output):
+            # the script, written last, would replace the data
+            raise ValueError("--out and --emit-gnuplot name the same file")
         with _open_output(cfg.output_path) as out:
             _COMMANDS[cfg.subcommand](cfg, out)
         _emit_gnuplot(cfg)

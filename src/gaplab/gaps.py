@@ -35,8 +35,10 @@ fold builds primes as integers only where it needs them:
   first p; beyond (7, 11) that rules out nearly every segment;
 * first occurrences are one table, indexed by the gap, of the p where each
   gap first opens; it grows with the largest gap;
-* no index is extracted from a segment that holds no gap reaching the least
-  of those w, a fact read off the mask's zero words.
+* a segment's pairs with d >= the least of those w are read off the mask's
+  zero words: such a gap leaves a run of whole zero 8-byte words, and the set
+  entries on either side of each run are its pair, so only where that w is
+  too small (the first segment) are all of a segment's primes listed.
 """
 
 from __future__ import annotations
@@ -162,20 +164,27 @@ def _segment_pairs(base: int, mask: np.ndarray, prev: int) -> tuple[np.ndarray, 
     return idx, d
 
 
-def _may_hold_gap(mask: np.ndarray, w: int) -> bool:
-    """False only if no two set entries of ``mask`` lie w or more apart in
-    value: such a gap leaves z >= w//2 - 1 zero entries, which cover (z - 7)//8
-    whole aligned 8-byte words.  A size that is not a multiple of 8 (at most
-    a scan's last segment) is not tested."""
-    words = (w // 2 - 1 - 7) // 8
-    if words < 1 or mask.size % 8:
-        return True
+def _long_gaps(mask: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)``: the set entries on either side of every run of k >= 1 or
+    more zero 8-byte words that touches neither end of ``mask``, whose size is
+    a multiple of 8.  A gap d >= w leaves d/2 - 1 >= w//2 - 1 zero entries,
+    which cover (w//2 - 8)//8 whole words: with k at most that, these are all
+    the pairs of the mask with d >= w."""
     run, length = mask.view(np.uint64) == 0, 1  # run[i]: words i .. i+length-1 are zero
-    while length < words:
-        step = min(length, words - length)
+    while length < k:
+        step = min(length, k - length)
         run = run[:-step] & run[step:]
         length += step
-    return bool(run.any())
+    if not run.any():  # most segments: no run at all
+        none = np.zeros(0, dtype=np.intp)
+        return none, none
+    start, stop = np.flatnonzero(np.diff(run, prepend=False, append=False)).reshape(-1, 2).T
+    inner = (start > 0) & (stop < run.size)
+    before, after = start[inner] - 1, stop[inner] + k - 1  # the nonzero words around each run
+    rows = mask.reshape(-1, 8)
+    lo = 8 * before + 7 - rows[before, ::-1].argmax(axis=1)
+    hi = 8 * after + rows[after].argmax(axis=1)
+    return lo, hi
 
 
 def _pairs(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -238,15 +247,22 @@ def _candidate_quotients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Indices j of the pairs with d_j >= w, and their Andrica quotients.
 
-    Pair j closes at q = base + 2*idx[j] and opens at p = q - d[j].  Working
-    in place keeps the first segment, where every pair is a candidate, to a
-    few arrays of its size.
+    Pair j closes at q = base + 2*idx[j] and opens at p = q - d[j].  The steps
+    round as :func:`andrica_quotients`' do, as q - p is d[j] exactly, but q
+    turns into p in place after its root: the first segment, where every pair
+    is a candidate, holds at most four arrays of its size at once.
     """
     sel = np.flatnonzero(d >= w)
-    q = idx[sel]
-    q <<= 1
-    q += base
-    return sel, andrica_quotients(q - d[sel], q)
+    n = idx[sel]
+    n <<= 1
+    n += base  # q
+    root_sum = n.astype(np.float64)
+    np.sqrt(root_sum, out=root_sum)
+    n -= d[sel]  # p
+    root_p = n.astype(np.float64)
+    root_sum += np.sqrt(root_p, out=root_p)
+    del n, root_p
+    return sel, np.divide(d[sel], root_sum, out=root_sum)
 
 
 def scan_gaps(
@@ -282,26 +298,32 @@ def scan_gaps(
         if pair_count == n_prev:
             continue
         two_root = 2.0 * math.sqrt(p0)
-        # Each concern changes only with a gap d >= its w, so a segment without
-        # a gap reaching the least w changes only the pair count and the carried
-        # prime: a record needs d > the record, a first occurrence an unopened
-        # gap, and the envelope and the top-k a quotient a > env_a or a >=
-        # threshold, which needs d >= w_a (see _quotient_gap_bound).
+        # Each concern changes only with a gap d >= its w: a record needs d >
+        # the record, a first occurrence an unopened gap, and the envelope and
+        # the top-k a quotient a > env_a or a >= threshold, which needs d >= w_a
+        # (see _quotient_gap_bound).  So once k >= 1, the segment's (idx, d)
+        # holds only its boundary pair and the pairs that _long_gaps finds.
         w_rec = records[-1].g + 1 if records else 1
         w_a = _quotient_gap_bound(min(env_a, threshold), two_root)
         w = min(w_rec, w_a, w_first)
-        if base + 2 * int(mask.argmax()) - p0 < w and not _may_hold_gap(mask, w):
-            continue
-
-        idx, d = _segment_pairs(base, mask, p0)
+        k = (w // 2 - 8) // 8  # the whole zero words of any gap d >= w
+        if k < 1 or mask.size % 8:
+            idx, d = _segment_pairs(base, mask, p0)
+        else:
+            lo, hi = _long_gaps(mask, k)
+            idx = np.concatenate(([mask.argmax()], hi))
+            d = np.concatenate(([base + 2 * int(idx[0]) - p0], 2 * (hi - lo)))
         d_max = int(d.max())
+
+        def pi_at(j: int) -> int:  # the count of primes below pair j's p
+            return n_prev + int(np.count_nonzero(mask[: idx[j]]))
 
         if d_max >= w_rec:
             for j in _rising(d, w_rec - 1).tolist():
                 g = int(d[j])
                 p = base + 2 * int(idx[j]) - g
                 records.append(GapRecord(p_L=p, p_L1=p + g, g=g, r=stable_sqrt_diff(p, p + g)))
-                pi[p] = n_prev + j
+                pi[p] = pi_at(j)
 
         if d_max >= w_first:
             first_p = _first_openings(first_p, base, idx, d, w_first)
@@ -328,7 +350,7 @@ def scan_gaps(
                 if a.size > top_k:
                     cut = max(cut, np.partition(a, a.size - top_k)[a.size - top_k])
                 for i in np.flatnonzero(a >= cut).tolist():
-                    top.append((float(a[i]), *pair(i), n_prev + int(sel[i])))
+                    top.append((float(a[i]), *pair(i), pi_at(int(sel[i]))))
                 top.sort(key=lambda t: (-t[0], t[1]))
                 if len(top) >= top_k:
                     # keep everything tied with the k-th best so ties resolve by p

@@ -330,6 +330,9 @@ def test_exit_codes(tmp_path, capsys):
         ["table1", "--limit", "9223372036854775808"],
         ["predict", "g_wolf", "1e6"],
         ["predict", "r_kernel", "nan"],
+        # the second run's --out names the file again by its absolute path
+        ["figure2", "--limit", "1e4", "--out", "keep.csv", "--emit-gnuplot", "keep.csv"],
+        ["figure1", "--limit", "1e4", "--out", "./keep.csv", "--emit-gnuplot", "keep.csv"],
     ],
 )
 def test_usage_errors_leave_the_output_untouched(tmp_path, monkeypatch, capsys, no_sieve, argv):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from bisect import bisect_left, bisect_right
 from unittest import mock
 
@@ -352,12 +353,18 @@ def _folded(result):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    segment=st.integers(min_value=1, max_value=64),
+    segment_limit=st.integers(min_value=1, max_value=64).flatmap(
+        lambda segment: st.tuples(
+            st.just(segment), st.integers(min_value=3, max_value=min(2000 * segment, 20000))
+        )
+    ),
     k=st.sampled_from([None, 1, 3, 10, 500]),
-    data=st.data(),
 )
-def test_scan_matches_brute_force_rescan(segment, k, data):
-    limit = data.draw(st.integers(min_value=3, max_value=min(2000 * segment, 20000)))
+# only a segment of a multiple of 8 entries reads its pairs off the zero words
+@example(segment_limit=(8, 20000), k=None)
+@example(segment_limit=(64, 20000), k=10)
+def test_scan_matches_brute_force_rescan(segment_limit, k):
+    segment, limit = segment_limit
     with sieve_segments(segment):
         result = gaps.scan_gaps(limit, top_k=k, collect_first=True)
     assert _folded(result) == _brute_scan(limit, k)
@@ -366,7 +373,8 @@ def test_scan_matches_brute_force_rescan(segment, k, data):
 
 
 def _extracting():
-    """Count the segments a scan extracts indices from, the rest it triages away."""
+    """Count the segments a scan extracts every index from; the others give
+    only their boundary pair and the pairs around their long zero-word runs."""
     return mock.patch.object(gaps, "_segment_pairs", wraps=gaps._segment_pairs)
 
 
@@ -383,12 +391,11 @@ def test_rescan_range_takes_both_triage_branches(k, collect_first):
     assert 0 < extract.call_count < len(range(0, limit, 2 * segment))
 
 
-def _longest_zero_run(mask):
-    best = run = 0
-    for bit in mask.tolist():
-        run = 0 if bit else run + 1
-        best = max(best, run)
-    return best
+def _pairs_around_zero_words(mask, k):
+    """The consecutive set entries of ``mask`` with k or more whole zero
+    8-entry words strictly between them, pair by pair."""
+    ones = np.flatnonzero(mask).tolist()
+    return [(i, j) for i, j in zip(ones, ones[1:]) if j // 8 - i // 8 - 1 >= k]
 
 
 @settings(max_examples=300, deadline=None)
@@ -398,26 +405,33 @@ def _longest_zero_run(mask):
     start=st.integers(min_value=0, max_value=400),
     length=st.integers(min_value=0, max_value=400),
 )
-@example(bits=[True] * 64, w=48, start=1, length=23)  # the shortest run that covers 2 words
-@example(bits=[True] * 64, w=48, start=0, length=23)  # at the very start
-@example(bits=[True] * 64, w=48, start=41, length=23)  # at the very end
+@example(bits=[True] * 64, w=48, start=0, length=23)  # a run at the very start
+@example(bits=[True] * 64, w=48, start=1, length=23)  # one set entry before the run
+@example(bits=[True] * 64, w=48, start=41, length=23)  # a run at the very end
+@example(bits=[True] * 64, w=32, start=0, length=64)  # all zero
+@example(bits=[True] * 64, w=48, start=16, length=16)  # exactly k = 2 words
+@example(bits=[True] * 64, w=48, start=15, length=18)  # 2 words and a little
+@example(bits=[True] * 64, w=48, start=16, length=15)  # k - 1 words
+@example(bits=[True] * 64, w=32, start=16, length=8)  # exactly k = 1 word
 @example(bits=[True] * 64, w=48, start=9, length=22)  # one entry short of 2 words
-@example(bits=[True] * 61, w=20, start=0, length=61)  # size not a multiple of 8
+@example(  # two runs one nonzero word apart, which holds a single set entry
+    bits=[True] * 16 + [False] * 19 + [True] + [False] * 20 + [True] * 16, w=48, start=0, length=0
+)
+@example(bits=[True, False] * 32, w=32, start=0, length=0)  # no zero word
 def test_zero_run_test_never_misses_a_gap(bits, w, start, length):
     # A gap >= w between two set entries leaves w//2 - 1 zero entries between
-    # them, so any run that long must be reported, wherever it lies.
+    # them, which cover k whole words, so every such gap must be listed.
     mask = np.array(bits, dtype=bool)
     mask[start : start + length] = False
-    held = gaps._may_hold_gap(mask, w)
-    if mask.size % 8:
-        assert held  # not tested: such a segment takes the full path
-        return
-    longest = _longest_zero_run(mask)
-    if longest >= w // 2 - 1:
-        assert held
-    words = (w // 2 - 1 - 7) // 8
-    if words >= 1 and longest < 8 * words:  # too short to cover that many whole words
-        assert not held
+    mask = mask[: mask.size // 8 * 8]  # a segment of another size takes the full path
+    k = (w // 2 - 8) // 8
+    if k < 1:
+        return  # so does a segment where this k reads nothing
+    lo, hi = gaps._long_gaps(mask, k)
+    listed = list(zip(lo.tolist(), hi.tolist()))
+    assert listed == _pairs_around_zero_words(mask, k)
+    ones = np.flatnonzero(mask).tolist()
+    assert {(i, j) for i, j in zip(ones, ones[1:]) if 2 * (j - i) >= w} <= set(listed)
 
 
 def test_triaged_scan_matches_a_numpy_fold():
@@ -591,3 +605,36 @@ def test_andrica_quotients_match_the_scalar_form_bit_for_bit(pairs):
     q = np.array([x + d for x, d in pairs], dtype=np.int64)
     got = [a.hex() for a in gaps.andrica_quotients(p, q).tolist()]
     assert got == [gaps.stable_sqrt_diff(x, x + d).hex() for x, d in pairs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base=st.integers(min_value=1500, max_value=2**62),
+    pairs=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=2**40), st.integers(min_value=1, max_value=1500)),
+        min_size=1,
+        max_size=64,
+    ),
+    w=st.integers(min_value=0, max_value=1500),
+)
+@example(base=2**53 - 1, pairs=[(0, 2), (1, 2), (2**40, 1500)], w=0)
+def test_candidate_quotients_match_andrica_quotients(base, pairs, w):
+    idx = np.array([i for i, _ in pairs], dtype=np.int64)
+    d = np.array([g for _, g in pairs], dtype=np.int64)
+    sel, a = gaps._candidate_quotients(base, idx, d, w)
+    assert sel.tolist() == [j for j, g in enumerate(d.tolist()) if g >= w]
+    q = base + 2 * idx[sel]
+    assert a.tobytes() == gaps.andrica_quotients(q - d[sel], q).tobytes()
+
+
+def test_quotient_step_holds_few_segment_sized_arrays():
+    # Every pair of the first segment is a candidate.  Its quotient step turns
+    # q into p in place after q's root, which peaks at 8.14 MiB here; keeping
+    # q to the end, as andrica_quotients does, peaks at 9.39 MiB.
+    tracemalloc.start()
+    try:
+        gaps.scan_gaps(4 * 10**6, collect_first=True, top_k=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.75 * 2**20

@@ -1,5 +1,6 @@
 """Runs of the scripts in ``scripts/`` on small inputs, in subprocesses."""
 
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -72,3 +73,15 @@ def test_scan_records_usage_errors(args, message):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.endswith(f"scan_records.py: error: {message}\n")
+
+
+def test_every_mutant_names_one_source_line():
+    # the full mutant run is opt-in (scripts/mutants.py); this keeps its list current
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    for mutant in mutants.MUTANTS:
+        mutants.locate(ROOT, mutant)  # raises unless the line occurs once
+        assert mutant.replacement != mutant.line
+        assert all((ROOT / test.split("::")[0]).is_file() for test in mutant.tests)
+        assert mutant.expected == "killed" or mutant.expected.startswith("equivalent: ")
