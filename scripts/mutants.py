@@ -12,7 +12,7 @@ copies the tree to a temporary directory, checks that the named tests pass
 there unmutated, then applies one mutant at a time, runs its tests with
 ``pytest -x`` and prints one line per mutant.  It exits 1 when a "killed"
 mutant survives, or when an "equivalent" one is killed (its reason is then
-stale).  The listed mutants take about 30 s in all.
+stale).  The listed mutants take about 50 s in all.
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ class Mutant(NamedTuple):
 
 
 GAPS, CLI = "src/gaplab/gaps.py", "src/gaplab/cli.py"
+HEURISTICS = "src/gaplab/heuristics.py"
 GAP_TESTS = ("tests/test_gaps.py",)
+TABLE1_FAST_PATH = "fast = (np.abs(r - np.floor(r) - 0.5) > 1e-6) & (n < 10**9)"
 
 MUTANTS = (
     Mutant(
@@ -94,6 +96,42 @@ MUTANTS = (
         "if gnuplot is not None and output is not None and os.path.samefile(gnuplot, output):",
         "if False:",
         ("tests/test_cli.py",),
+        "killed",
+    ),
+    Mutant(
+        CLI,
+        TABLE1_FAST_PATH,
+        TABLE1_FAST_PATH.replace("1e-6", "0"),
+        ("tests/test_cli.py::test_table1_fraction_rule_matches_format",),
+        "equivalent: k + 1/2 is a double and rounding is monotone, so fl(a * 1e9)"
+        " never crosses a half; only r exactly at one is ambiguous",
+    ),
+    Mutant(  # a row whose r is exactly at a half trusts rint(r)
+        CLI,
+        TABLE1_FAST_PATH,
+        "fast = n < 10**9",
+        ("tests/test_cli.py::test_table1_fraction_rule_matches_format",),
+        "killed",
+    ),
+    Mutant(  # A that rounds to exactly 1 skips Python's formatting
+        CLI,
+        TABLE1_FAST_PATH,
+        TABLE1_FAST_PATH.replace("n < 10**9", "n <= 10**9"),
+        ("tests/test_cli.py::test_table1_formats_only_ties_and_a_past_one_in_python",),
+        "killed",
+    ),
+    Mutant(
+        CLI,
+        "digit *= rest != 0  # a leading zero becomes a pad byte",
+        "pass",
+        ("tests/test_cli.py::test_table1_digit_fields_match_str",),
+        "killed",
+    ),
+    Mutant(
+        HEURISTICS,
+        "if factor < sys.float_info.min:",
+        "if False:",
+        ("tests/test_heuristics.py::test_kernels_print_12_true_digits_or_raise",),
         "killed",
     ),
 )

@@ -29,6 +29,8 @@ import sys
 from dataclasses import dataclass
 from typing import IO, Sequence
 
+import numpy as np
+
 import gaplab
 from gaplab import gaps, heuristics, reference
 from gaplab.heuristics import GAP_FORMS, MODELS, DomainError
@@ -40,9 +42,9 @@ IO_ERROR = 4
 # Largest magnitude _parse_count turns into an int from scientific notation.
 _MAX_COUNT = 2**64 - 1
 
-# Most rows table1 formats and writes at once: enough to amortise the numpy
-# and write calls, few enough that a chunk's arrays, Python objects and joined
-# text stay near 1 MB.
+# Most rows table1 renders and writes at once: enough to amortise the numpy
+# and write calls, few enough that a chunk's byte matrix and int64 temporaries
+# stay well under 1 MB.
 _TABLE1_CHUNK_ROWS = 1 << 13
 
 _THREADS_HELP = "accepted for compatibility (at least 1); scans run on one thread"
@@ -174,6 +176,55 @@ def _record_table(cfg: RunConfig) -> tuple[gaps.GapRecordTable, dict[int, int]]:
     return table, result.pi
 
 
+def _table1_rows(p: np.ndarray, q: np.ndarray, a: np.ndarray) -> bytes:
+    """The rows ``f"{p},{q},{q - p},{a:.9f}\\n"`` of a non-empty chunk, as ASCII.
+
+    ``p <= q`` are int64 in [0, 2^63) and ``a`` finite doubles in [0, 9e9).
+    Each field is written right-aligned into an (n, width) uint8 matrix, its
+    leading zeros left as 0 pad bytes, which the final mask drops in row order.
+
+    A is printed from N = round(a * 10^9).  For r = fl(a * 1e9) < 10^9 the
+    rounding of the product moves r by at most 2^-53 * 10^9 < 1.2e-7, so
+    where frac(r) is more than 1e-6 from one half the exact product lies on
+    the same side of it, and rint(r) is the N that ``f"{a:.9f}"`` prints.
+    (The margin is generous: k + 1/2 is a double and rounding is monotone,
+    so r can land on a half but never cross one.)  Rows near a tie, and rows
+    whose N reaches 10^9 (A that rounds to 1 or more), take N from Python's
+    own formatting.
+    """
+    r = a * 1e9
+    n = np.rint(r)
+    fast = (np.abs(r - np.floor(r) - 0.5) > 1e-6) & (n < 10**9)
+    scaled = n.astype(np.int64)
+    slow = np.flatnonzero(~fast)
+    scaled[slow] = [int(format(x, ".9f").replace(".", "")) for x in a[slow].tolist()]
+    # (values, digits always shown, the byte after the field)
+    fields = (
+        (p, 1, ","),
+        (q, 1, ","),
+        (q - p, 1, ","),
+        (scaled // 10**9, 1, "."),
+        (scaled % 10**9, 9, "\n"),
+    )
+    widths = [max(len(str(int(values.max()))), shown) for values, shown, _ in fields]
+    mat = np.empty((p.size, sum(widths) + len(fields)), dtype=np.uint8)
+    stop = 0
+    for (values, shown, after), width in zip(fields, widths):
+        stop += width
+        mat[:, stop] = ord(after)
+        rest = values
+        for col in range(stop - 1, stop - 1 - width, -1):
+            quot = rest // 10
+            digit = rest - 10 * quot
+            digit += ord("0")
+            if col < stop - shown:
+                digit *= rest != 0  # a leading zero becomes a pad byte
+            mat[:, col] = digit
+            rest = quot
+        stop += 1
+    return mat[mat != 0].tobytes()
+
+
 def cmd_table1(cfg: RunConfig, out: IO[str]) -> None:
     _header(out, cfg, f"limit={cfg.limit}")
     out.write("p_n,p_n1,d_n,A_n\n")
@@ -181,9 +232,8 @@ def cmd_table1(cfg: RunConfig, out: IO[str]) -> None:
         for lo in range(0, p_block.size, _TABLE1_CHUNK_ROWS):
             p = p_block[lo : lo + _TABLE1_CHUNK_ROWS]
             q = q_block[lo : lo + _TABLE1_CHUNK_ROWS]
-            columns = (p, q, q - p, gaps.andrica_quotients(p, q))
-            rows = zip(*(c.tolist() for c in columns))
-            out.write("".join(f"{x},{y},{d},{a:.9f}\n" for x, y, d, a in rows))
+            rows = _table1_rows(p, q, gaps.andrica_quotients(p, q))
+            out.write(rows.decode("ascii"))
 
 
 def cmd_table2(cfg: RunConfig, out: IO[str]) -> None:

@@ -29,6 +29,7 @@ suite).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -156,13 +157,21 @@ def granville_bound(p: float) -> float:
 
 def _scaled_exp(name: str, d: float, scale: float, exponent: float) -> float:
     """scale * e^exponent, or a DomainError naming ``name`` and ``d`` where
-    that overflows a double."""
+    that overflows a double or the factor e^exponent falls below the normal
+    range, where its relative error is no longer bounded.  While the factor
+    is normal, that error is at most about 708 * 2^-53, from the rounding of
+    ``exponent``.  A subnormal value with a normal factor is let through:
+    that is r_shanks(d) = d/2 for 0 < d < 2 DBL_MIN, which kernel_argmax
+    must evaluate over an interval (0, d)."""
     try:
-        value = scale * math.exp(exponent)
+        factor = math.exp(exponent)
     except OverflowError:
-        value = math.inf
+        factor = math.inf
+    value = scale * factor
     if math.isinf(value):
         raise DomainError(f"{name} overflows a double at d = {d}")
+    if factor < sys.float_info.min:
+        raise DomainError(f"{name} underflows a double at d = {d}")
     return value
 
 
@@ -188,7 +197,7 @@ def r_kernel(d: float) -> float:
     d = float(d)
     if d < 0:
         raise DomainError(f"r_kernel needs d >= 0, got {d}")
-    return 0.5 * d**0.75 * math.exp(-0.5 * math.sqrt(d))
+    return _scaled_exp("r_kernel", d, 0.5 * d**0.75, -0.5 * math.sqrt(d))
 
 
 def r_shanks(d: float) -> float:
@@ -196,7 +205,7 @@ def r_shanks(d: float) -> float:
     d = float(d)
     if d < 0:
         raise DomainError(f"r_shanks needs d >= 0, got {d}")
-    return 0.5 * d * math.exp(-0.5 * math.sqrt(d))
+    return _scaled_exp("r_shanks", d, 0.5 * d, -0.5 * math.sqrt(d))
 
 
 def r_cramer_form(x: float) -> float:

@@ -6,8 +6,9 @@ from bisect import bisect_left
 from importlib import resources
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gaplab
@@ -119,11 +120,17 @@ def test_predict_usage_errors(capsys):
     assert cli.main(["predict", "g_wolf", "1e6"]) == 2  # missing pi_x
     assert cli.main(["predict", "g_gauss", "2"]) == 2  # outside domain
     capsys.readouterr()
-    for model in ("pf_shanks", "pf_wolf"):  # e^1000 overflows a double
-        assert cli.main(["predict", model, "1e6"]) == 2
+    for model, d, flow in (
+        ("pf_shanks", "1e6", "overflows"),  # e^1000 overflows a double
+        ("pf_wolf", "1e6", "overflows"),
+        ("r_kernel", "2.2e6", "underflows"),  # e^-741.6 is subnormal
+        ("r_kernel", "1e7", "underflows"),  # e^-1581 is 0
+        ("r_shanks", "2.2e6", "underflows"),
+    ):
+        assert cli.main(["predict", model, d]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"gaplab: {model} overflows a double at d = 1000000.0\n"
+        assert captured.err == f"gaplab: {model} {flow} a double at d = {float(d)}\n"
 
 
 _PREDICT_CHOICES = [
@@ -427,6 +434,62 @@ def test_table1_bytes_match_trial_division(limit, segment, chunk_rows):
     assert out.getvalue() == _table1_oracle(limit)
 
 
+def _python_rows(p, q, a):
+    return "".join(f"{x},{y},{y - x},{v:.9f}\n" for x, y, v in zip(p, q, a))
+
+
+_INT64 = st.integers(min_value=0, max_value=2**63 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_INT64, _INT64).map(sorted), min_size=1, max_size=40))
+def test_table1_digit_fields_match_str(pairs):
+    p, q = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+    a = np.full(p.size, 0.25)
+    rows = cli._table1_rows(p, q, a).decode("ascii")
+    assert rows == _python_rows(p.tolist(), q.tolist(), a.tolist())
+
+
+# exact decimal ties (dyadic a) and their neighbours, doubles nearest to a
+# tie that fl(a * 1e9) rounds onto it, and A that rounds to 1
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=40))
+@example([2**-10])
+@example([math.nextafter(2**-10, 0.0), math.nextafter(2**-10, 1.0)])
+@example([(k + 0.5) / 1e9 for k in range(40)])
+@example([(k + 0.5) / 1e9 for k in range(999_999_960, 1_000_000_000)])
+@example([1 - 2**-53])
+@example([0.9999999995])
+@example([1.0])
+@example([1.0000000005])
+def test_table1_fraction_rule_matches_format(a):
+    rows = cli._table1_rows(np.full(len(a), 7), np.full(len(a), 11), np.array(a))
+    assert rows.decode("ascii") == _python_rows([7] * len(a), [11] * len(a), a)
+
+
+def test_table1_rows_of_one_chunk():
+    p = np.array([2, 1327, 9223372036854775000])
+    q = np.array([3, 1361, 9223372036854775807])
+    a = gaps.andrica_quotients(p, q)
+    assert cli._table1_rows(p[:1], q[:1], a[:1]) == b"2,3,1,0.317837245\n"
+    a[2] = 12.5  # past Andrica's bound: the integer part takes two digits
+    assert cli._table1_rows(p, q, a) == (
+        b"2,3,1,0.317837245\n"
+        b"1327,1361,34,0.463722291\n"
+        b"9223372036854775000,9223372036854775807,807,12.500000000\n"
+    )
+
+
+def test_table1_formats_only_ties_and_a_past_one_in_python():
+    a = [0.25, 5e-10, 0.670873479, 0.9999999995, 1.0, 1 - 2**-53, 12.5]
+    with mock.patch.object(cli, "format", side_effect=format, create=True) as spy:
+        rows = cli._table1_rows(np.full(len(a), 7), np.full(len(a), 11), np.array(a))
+    assert [call.args for call in spy.call_args_list] == [
+        (x, ".9f") for x in (5e-10, 0.9999999995, 1.0, 1 - 2**-53, 12.5)
+    ]
+    assert rows.decode("ascii") == _python_rows([7] * len(a), [11] * len(a), a)
+
+
 def test_reference_with_a_prime_inside_a_gap_is_a_data_error(tmp_path, capsys):
     hidden = tmp_path / "hidden.txt"
     hidden.write_text("12 139\n")  # 139 and 151 are prime, so is 149 between them
@@ -454,6 +517,11 @@ def test_output_file_writing(tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().out == ""
     assert path.read_text().splitlines()[-1] == "109,113,4,0.189839304"
+    # 17983 rows: three chunks, written through the file as through stdout
+    argv = ["table1", "--limit", "200000"]
+    rc, out = run(capsys, *argv)
+    assert rc == 0 and cli.main([*argv, "--out", str(path)]) == 0
+    assert path.read_bytes() == out.encode("ascii")
 
 
 def test_figure1_reference_record_straddling_the_limit(capsys, fixture_path):

@@ -4,7 +4,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaplab import heuristics as h
@@ -154,6 +154,48 @@ def test_r_shanks_values():
     assert h.r_shanks(0) == 0.0
     assert h.r_shanks(4) == pytest.approx(2 / math.e, rel=1e-14)
     assert h.r_shanks(16) == pytest.approx(8 * math.exp(-2), rel=1e-14)
+
+
+# d where e^(-sqrt(d)/2) leaves the normal doubles: sqrt(d)/2 = 1022 ln 2
+_KERNEL_UNDERFLOW_D = (2 * 1022 * math.log(2)) ** 2
+
+
+def _kernel_truth(name, d):
+    """(1/2) d^alpha e^(-sqrt(d)/2) at the double d, in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        d = mpmath.mpf(d)
+        power = d ** mpmath.mpf(0.75) if name == "r_kernel" else d
+        return power / 2 * mpmath.exp(-mpmath.sqrt(d) / 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(["r_kernel", "r_shanks"]), d=st.floats(min_value=0, max_value=3e6))
+@example(name="r_kernel", d=2.2e6)
+@example(name="r_shanks", d=2.2e6)
+@example(name="r_kernel", d=1e7)
+@example(name="r_kernel", d=_KERNEL_UNDERFLOW_D * (1 - 1e-12))
+@example(name="r_shanks", d=_KERNEL_UNDERFLOW_D * (1 - 1e-12))
+@example(name="r_kernel", d=_KERNEL_UNDERFLOW_D * (1 + 1e-12))
+@example(name="r_kernel", d=2.0e6)
+@example(name="r_shanks", d=5e-324)
+def test_kernels_print_12_true_digits_or_raise(name, d):
+    # past the edge a subnormal value keeps fewer digits than the 12 printed
+    truth = _kernel_truth(name, d)
+    try:
+        value = h.MODELS[name][0](d)
+    except DomainError as exc:
+        assert "underflows a double" in str(exc)
+        assert mpmath.exp(-mpmath.sqrt(d) / 2) < sys.float_info.min
+        return
+    if truth < sys.float_info.min:
+        # d = 0, or r_shanks(d) = d/2 for 0 < d < 2 DBL_MIN: as near as a
+        # subnormal can hold it (see _scaled_exp)
+        assert abs(value - truth) <= 2**-1074
+        return
+    printed = mpmath.mpf(f"{value:.12g}")
+    with mpmath.workdps(50):
+        unit = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(truth)) - 11)
+        assert abs(printed - truth) <= unit, (value, truth)
 
 
 def test_r_cramer_form():
