@@ -3,7 +3,7 @@
 The sieve works on odd numbers only, one byte-mask segment at a time, so a
 scan to 10^9 or beyond never holds more than a couple of megabytes of mask.
 Composite marking for 3, 5 and 7 is pre-baked into a tiled wheel pattern.
-The remaining base primes come from one int64 array that grows on demand by
+The remaining base primes come from one uint32 array that grows on demand by
 running this same sieve over the new range.  Base primes much smaller than
 the segment are crossed off with strided numpy writes; the rest hit a
 segment a few times at most and are crossed in vectorised rounds, the
@@ -50,9 +50,12 @@ _ODD_PRIMORIAL_47 = math.prod(_ODD_PRIMES_TO_47)
 _WHEEL_PRIMES = ((3, 2), (5, 3), (7, 4))
 _WHEEL = 105
 
-# Large base primes are crossed this many at a time, which caps the
-# transient int64 arrays of one segment at a few tens of megabytes.
-_LARGE_CHUNK = 1 << 20
+# Large base primes are crossed this many at a time.  The int64 primes,
+# offsets and temporaries of one chunk are 128 KiB each, so together they stay
+# in L2 and the allocator hands the same blocks back from chunk to chunk.  Of
+# 2^14 to 2^17 chunks, 2^14 to 2^16 gave the same far-window time and 2^14
+# the lowest median window.
+_LARGE_CHUNK = 1 << 14
 
 
 def _plan(lo: int, hi: int) -> range:
@@ -69,16 +72,17 @@ def _plan(lo: int, hi: int) -> range:
 # Odd primes in [11, bound] for the largest bound sieved so far.  Bound and
 # array live in one tuple, replaced in one assignment, so a reader on another
 # thread never pairs a bound with the array of a different growth step.
-_base_cache: tuple[int, np.ndarray] = (10, np.zeros(0, dtype=np.int64))
+_base_cache: tuple[int, np.ndarray] = (10, np.zeros(0, dtype=np.uint32))
 _base_grow_lock = threading.RLock()  # growing re-enters for sqrt(bound)
 
 
 def _base_primes(bound: int) -> np.ndarray:
-    """Ascending odd primes in [11, bound] as a read-only int64 array.
+    """Ascending odd primes in [11, bound] as a read-only uint32 array.
 
     The result is a slice of one cache that only grows: a larger ``bound``
     runs the segmented sieve over ``(cached bound, bound]``, whose own base
-    primes (up to sqrt(bound)) come from this function.
+    primes (up to sqrt(bound)) come from this function.  Every bound is at
+    most sqrt(2^63 - 1) < 2^32, so every base prime fits in 32 bits.
     """
     global _base_cache
     cached_bound, primes = _base_cache
@@ -88,19 +92,20 @@ def _base_primes(bound: int) -> np.ndarray:
             if bound > cached_bound:
                 primes = _grow_base_primes(primes, cached_bound, bound)
                 _base_cache = (bound, primes)
-    return primes[: np.searchsorted(primes, bound, side="right")]
+    # a Python int key would make searchsorted cast the whole array first
+    return primes[: np.searchsorted(primes, np.uint32(bound), side="right")]
 
 
 def _grow_base_primes(primes: np.ndarray, cached_bound: int, bound: int) -> np.ndarray:
     """``primes`` extended by the primes of ``(cached_bound, bound]``."""
     # pi(x) < 1.25506 x / ln x for x > 1 (Rosser-Schoenfeld).  Pages past the
     # final count are never written, so the slack costs no resident memory.
-    grown = np.empty(int(1.25506 * bound / math.log(bound)) + 1, dtype=np.int64)
+    grown = np.empty(int(1.25506 * bound / math.log(bound)) + 1, dtype=np.uint32)
     grown[: primes.size] = primes
     count = primes.size
     for _, _, first, mask in _iter_masks(_plan(cached_bound + 1, bound + 1)):
         found = np.flatnonzero(mask)
-        grown[count : count + found.size] = first + 2 * found
+        grown[count : count + found.size] = (first + 2 * found).astype(np.uint32)
         count += found.size
     grown = grown[:count]
     grown.flags.writeable = False
@@ -113,11 +118,16 @@ def _first_offsets(primes: np.ndarray, first: int) -> np.ndarray:
     That value is the larger of p*p and the first odd multiple of p that is
     >= ``first``, so a base prime inside the range is never marked.  Every
     term stays relative to ``first``, so nothing overflows int64 near 2^63
-    (p*p itself is below the range's upper bound).
+    (p*p itself is below the range's upper bound).  ``primes`` is ascending
+    int64; when its largest p has p*p <= ``first``, the p*p term is at most
+    0 for every prime and is skipped.
     """
-    to_multiple = -first % primes
-    to_multiple += primes * (to_multiple & 1)  # first + to_multiple must be odd
-    return np.maximum(to_multiple >> 1, (primes * primes - first) >> 1)
+    off = -first % primes
+    off += primes * (off & 1)  # first + off must be odd
+    off >>= 1
+    if primes.size and int(primes[-1]) ** 2 > first:
+        np.maximum(off, (primes * primes - first) >> 1, out=off)
+    return off
 
 
 def _odd_mask(lo: int, hi: int, base: np.ndarray) -> tuple[int, np.ndarray]:
@@ -125,8 +135,9 @@ def _odd_mask(lo: int, hi: int, base: np.ndarray) -> tuple[int, np.ndarray]:
 
     Returns ``(first, mask)`` where ``first`` is the first odd value and
     ``mask[i]`` tells whether ``first + 2*i`` survived.  ``base`` must hold
-    the ascending odd base primes >= 11 (as from :func:`_base_primes`);
-    multiples of 3, 5, 7 come from the wheel pattern.
+    the ascending odd base primes >= 11 (as from :func:`_base_primes`), and
+    is widened to int64 a slice at a time; multiples of 3, 5, 7 come from
+    the wheel pattern.
 
     A prime below n/32 (n odd entries) hits the segment many times and is
     crossed with one strided write.  The rest hit it at most 32 times each:
@@ -147,13 +158,13 @@ def _odd_mask(lo: int, hi: int, base: np.ndarray) -> tuple[int, np.ndarray]:
         if first <= v < hi:
             mask[(v - first) >> 1] = v != 1
 
-    base = base[: np.searchsorted(base, math.isqrt(hi - 1), side="right")]
-    split = int(np.searchsorted(base, n >> 5))
-    small = base[:split]
+    base = base[: np.searchsorted(base, np.uint32(math.isqrt(hi - 1)), side="right")]
+    split = int(np.searchsorted(base, np.uint32(n >> 5)))
+    small = base[:split].astype(np.int64)
     for p, start in zip(small.tolist(), _first_offsets(small, first).tolist()):
         mask[start::p] = False
     for at in range(split, base.size, _LARGE_CHUNK):
-        primes = base[at : at + _LARGE_CHUNK]
+        primes = base[at : at + _LARGE_CHUNK].astype(np.int64)
         off = _first_offsets(primes, first)
         while True:
             hit = off < n

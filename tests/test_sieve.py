@@ -2,6 +2,7 @@ import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -123,7 +124,10 @@ def test_segment_plan_stays_flat(no_sieve):
 
 # Windows far from 0, a few thousand values wide.  n/32 is 31 to 62 here (n
 # odd entries per segment), so base primes below that are crossed with
-# strided writes and every larger one goes through the vectorised rounds.
+# strided writes and every larger one goes through the vectorised rounds,
+# _LARGE_CHUNK at a time.  Chunks of 1000 cut the base primes of one window
+# into 78 (near 10^12) to 17k (near 10^17) chunks; chunks of 3 made this file
+# take minutes.
 _FAR_WINDOWS = [
     (10**12 - 1500, 10**12 + 1500),
     (10**15 + 7, 10**15 + 4007),
@@ -135,27 +139,32 @@ _FAR_WINDOWS = [
 @pytest.mark.parametrize("segment_length", [None, 1000])
 def test_far_windows_against_is_prime(lo, hi, segment_length):
     sieve._base_primes(math.isqrt(hi - 1))  # grown at the default segment length
-    with sieve_segments(segment_length):
-        survivors = set(sieve.primes_in_range(lo, hi).tolist())
-    for v in range(lo | 1, hi, 2):
-        assert (v in survivors) == sieve.is_prime(v), v
-    assert all(v % 2 for v in survivors)
+    for chunk in (sieve._LARGE_CHUNK, 1000):
+        with sieve_segments(segment_length), mock.patch.object(sieve, "_LARGE_CHUNK", chunk):
+            survivors = set(sieve.primes_in_range(lo, hi).tolist())
+        for v in range(lo | 1, hi, 2):
+            assert (v in survivors) == sieve.is_prime(v), (chunk, v)
+        assert all(v % 2 for v in survivors)
 
 
 @pytest.mark.parametrize("segment_length", [16, 32, 64, 1000])
 def test_tiny_segments_from_zero_keep_base_primes(segment_length):
     # n/32 is at most 31, so every base prime >= 11 (or >= 37 for 1000) takes
     # the vectorised path; 11 (for 64) and 37, 41, 43 (for 1000) lie inside
-    # the first segment and must not mark themselves
-    with sieve_segments(segment_length):
-        got = sieve.primes_in_range(0, 20000)
-    assert got.tolist() == trial_division_primes(0, 20000)
+    # the first segment and must not mark themselves.  Chunks of 3 primes put
+    # those below and above sqrt(first) in different chunks, so the p*p term
+    # is kept or skipped chunk by chunk.
+    expected = trial_division_primes(0, 20000)
+    for chunk in (sieve._LARGE_CHUNK, 3):
+        with sieve_segments(segment_length), mock.patch.object(sieve, "_LARGE_CHUNK", chunk):
+            got = sieve.primes_in_range(0, 20000)
+        assert got.tolist() == expected, chunk
 
 
 def test_window_order_does_not_change_results(monkeypatch):
     windows = [(10**9, 10**9 + 3000), (10**11, 10**11 + 3000), (10**13, 10**13 + 3000),
                (10**15 - 3000, 10**15)]
-    empty = (10, np.zeros(0, dtype=np.int64))
+    empty = (10, np.zeros(0, dtype=np.uint32))
     monkeypatch.setattr(sieve, "_base_cache", empty)
     ascending = [sieve.primes_in_range(lo, hi) for lo, hi in windows]
     monkeypatch.setattr(sieve, "_base_cache", empty)
@@ -163,10 +172,11 @@ def test_window_order_does_not_change_results(monkeypatch):
     for a, d in zip(ascending, descending):
         assert np.array_equal(a, d)
     assert sieve._base_cache[0] == math.isqrt(10**15 - 1)
+    assert sieve._base_cache[1].dtype == np.uint32
 
 
 def test_base_primes_grow_consistently_across_threads(monkeypatch):
-    monkeypatch.setattr(sieve, "_base_cache", (10, np.zeros(0, dtype=np.int64)))
+    monkeypatch.setattr(sieve, "_base_cache", (10, np.zeros(0, dtype=np.uint32)))
     bounds = [10**9, 10**10, 10**11, 10**12, 10**13, 10**14] * 2
     expected = {b: [v for v in range(b, b + 600) if sieve.is_prime(v)] for b in set(bounds)}
     interval = sys.getswitchinterval()
@@ -185,6 +195,31 @@ def test_base_primes_grow_consistently_across_threads(monkeypatch):
     for f in range(2, math.isqrt(bound) + 1):
         flags[f * f :: f] = False
     assert np.array_equal(primes, np.flatnonzero(flags)[4:])  # from 11 on
+
+
+def _traced_peak(call):
+    """``call()`` and the bytes its allocations reached at their peak."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_far_window_transients_stay_small():
+    # With a warm cache a window 10^6 wide near 10^16 needs its mask (500 KB)
+    # and its primes (27168 of them); every base-prime slice is a view and
+    # the 5.8M large base primes are crossed one cache-sized chunk at a time.
+    sieve._base_primes(math.isqrt(10**16 + 10**6 - 1))
+    got, peak = _traced_peak(lambda: sieve.primes_in_range(10**16, 10**16 + 10**6))
+    assert got.dtype == np.int64 and got.size == 27168
+    assert peak < 4 << 20
+    # searchsorted with a key of another dtype would cast the whole cache
+    primes, peak = _traced_peak(lambda: sieve._base_primes(10**8))
+    assert peak < 64 << 10
+    assert np.shares_memory(primes, sieve._base_cache[1])
 
 
 def test_record_916_endpoints_are_adjacent():
