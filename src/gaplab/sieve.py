@@ -3,11 +3,15 @@
 The sieve works on odd numbers only, one byte-mask segment at a time, so a
 scan to 10^9 or beyond never holds more than a couple of megabytes of mask.
 Composite marking for 3, 5 and 7 is pre-baked into a tiled wheel pattern.
-The remaining base primes come from one uint32 array that grows on demand by
-running this same sieve over the new range.  Base primes much smaller than
-the segment are crossed off with strided numpy writes; the rest hit a
-segment a few times at most and are crossed in vectorised rounds, the
-bucket idea of T. Oliveira e Silva's segmented sieve and of primesieve.
+The remaining base primes up to 2^26 come from one uint32 store, filled in
+place by running this same sieve over each new range; the base primes above
+2^26, needed only by windows past about 4.5e15, are sieved again in small
+chunks for each batch of a few MB of masks and never kept, so memory stays
+flat however far out a window lies.  Base primes much smaller than the
+segment are crossed off with strided numpy writes; the rest hit a segment a
+few times at most and are crossed in vectorised rounds, the bucket idea of
+T. Oliveira e Silva's segmented sieve and of primesieve (Oliveira e Silva,
+Herzog and Pardi, Math. Comp. 2014).
 
 Conventions used throughout the package:
 
@@ -19,8 +23,8 @@ Conventions used throughout the package:
 Every sieve-backed call checks its range in one place, :func:`_plan`, when
 it is made.  The plan is a ``range`` of segment starts, so its memory does
 not depend on the limit.  Segments are sieved one after another, in order,
-on the calling thread; the base-prime cache is locked, so a caller may still
-sieve from more than one thread of its own.
+on the calling thread; the base-prime store is locked while it grows, so a
+caller may still sieve from more than one thread of its own.
 """
 
 from __future__ import annotations
@@ -57,6 +61,13 @@ _WHEEL = 105
 # the lowest median window.
 _LARGE_CHUNK = 1 << 14
 
+# Base primes above _BASE_BOUND are sieved this many odd values at a time, and
+# the masks they are crossed into are held together up to this many bytes.
+# Near 10^18, chunks of 2^18, 2^19 and 2^20 took 3.5, 3.1-3.3 and 2.7 s for a
+# window 10^6 wide; 2^19 keeps a chunk's mask and primes near 1 MB in all.
+_STREAM_CHUNK = 1 << 19
+_STREAM_MASK_BYTES = 1 << 22
+
 
 def _plan(lo: int, hi: int) -> range:
     """Check a sieve request; return its segment starts."""
@@ -69,47 +80,87 @@ def _plan(lo: int, hi: int) -> range:
     return range(lo, hi, 2 * SEGMENT_LENGTH)
 
 
-# Odd primes in [11, bound] for the largest bound sieved so far.  Bound and
-# array live in one tuple, replaced in one assignment, so a reader on another
-# thread never pairs a bound with the array of a different growth step.
-_base_cache: tuple[int, np.ndarray] = (10, np.zeros(0, dtype=np.uint32))
-_base_grow_lock = threading.RLock()  # growing re-enters for sqrt(bound)
+# Base primes up to this bound are kept for the rest of the process; a plan
+# whose square root lies above it streams the base primes above it instead.
+# It covers sqrt(hi) for every hi below about 4.5e15, in 15.8 MB.
+_BASE_BOUND = 1 << 26
+# pi(x) < 1.25506 x / ln x for x > 1 (Rosser-Schoenfeld): the store's capacity.
+_BASE_CAPACITY = int(1.25506 * _BASE_BOUND / math.log(_BASE_BOUND)) + 1
+# A store whose doubled capacity would pass this many primes takes the whole
+# capacity at once.  Pages past the count are never written, so that costs
+# address space, not resident memory, and no larger copy ever follows;
+# doubling alone copied 1.95M primes while the perfbench windows grew to 2.5M,
+# and peaked 7 MB higher.
+_BASE_RESERVE_AT = 1 << 20
+
+
+class _BaseStore:
+    """The odd primes in [11, bound] for the largest bound sieved so far.
+
+    They fill the front of one uint32 buffer.  A growth sieves only the new
+    range and writes its primes after the old ones, in place; when the buffer
+    is full its capacity at least doubles, and past ``_BASE_RESERVE_AT`` it
+    becomes ``_BASE_CAPACITY``.
+    ``state`` pairs the bound with a read-only view of its primes in one
+    tuple, replaced in one assignment, so a reader on another thread never
+    pairs a bound with the primes of a different step, and a growth never
+    writes inside a view that was handed out.
+    """
+
+    def __init__(self) -> None:
+        self.state: tuple[int, np.ndarray] = (10, np.zeros(0, dtype=np.uint32))
+        self._buffer = self.state[1]
+        self._lock = threading.Lock()
+
+    def grow(self, bound: int) -> None:
+        """Extend the store to ``bound`` <= ``_BASE_BOUND``."""
+        with self._lock:
+            cached, primes = self.state
+            while cached < bound:
+                step = min(bound, cached * cached)  # sieved with the primes up to cached
+                plan = _plan(cached + 1, step + 1)
+                for seg_lo in plan:
+                    first, mask = _odd_mask(seg_lo, min(seg_lo + plan.step, plan.stop), primes)
+                    found = np.flatnonzero(mask)
+                    found <<= 1
+                    found += first
+                    count = primes.size
+                    self._reserve(count, count + found.size)
+                    self._buffer[count : count + found.size] = found
+                    primes = self._buffer[: count + found.size]
+                cached = step
+                primes = primes.view()
+                primes.flags.writeable = False
+                self.state = (cached, primes)
+
+    def _reserve(self, count: int, need: int) -> None:
+        """Room for ``need`` primes, the first ``count`` of them kept."""
+        if need > self._buffer.size:
+            size = max(2 * self._buffer.size, need)
+            if size > _BASE_RESERVE_AT:
+                size = _BASE_CAPACITY
+            grown = np.empty(size, dtype=np.uint32)
+            grown[:count] = self._buffer[:count]
+            self._buffer = grown
+
+
+_base_store = _BaseStore()
 
 
 def _base_primes(bound: int) -> np.ndarray:
     """Ascending odd primes in [11, bound] as a read-only uint32 array.
 
-    The result is a slice of one cache that only grows: a larger ``bound``
-    runs the segmented sieve over ``(cached bound, bound]``, whose own base
-    primes (up to sqrt(bound)) come from this function.  Every bound is at
-    most sqrt(2^63 - 1) < 2^32, so every base prime fits in 32 bits.
+    The result is a view of the store, which a larger ``bound`` first grows
+    by running this same sieve over ``(cached bound, bound]``.  ``bound`` is
+    at most ``_BASE_BOUND``, so every base prime fits in 32 bits and the
+    store never holds more than pi(2^26) of them.
     """
-    global _base_cache
-    cached_bound, primes = _base_cache
-    if bound > cached_bound:
-        with _base_grow_lock:
-            cached_bound, primes = _base_cache
-            if bound > cached_bound:
-                primes = _grow_base_primes(primes, cached_bound, bound)
-                _base_cache = (bound, primes)
+    cached, primes = _base_store.state
+    if bound > cached:
+        _base_store.grow(bound)
+        cached, primes = _base_store.state
     # a Python int key would make searchsorted cast the whole array first
     return primes[: np.searchsorted(primes, np.uint32(bound), side="right")]
-
-
-def _grow_base_primes(primes: np.ndarray, cached_bound: int, bound: int) -> np.ndarray:
-    """``primes`` extended by the primes of ``(cached_bound, bound]``."""
-    # pi(x) < 1.25506 x / ln x for x > 1 (Rosser-Schoenfeld).  Pages past the
-    # final count are never written, so the slack costs no resident memory.
-    grown = np.empty(int(1.25506 * bound / math.log(bound)) + 1, dtype=np.uint32)
-    grown[: primes.size] = primes
-    count = primes.size
-    for _, _, first, mask in _iter_masks(_plan(cached_bound + 1, bound + 1)):
-        found = np.flatnonzero(mask)
-        grown[count : count + found.size] = (first + 2 * found).astype(np.uint32)
-        count += found.size
-    grown = grown[:count]
-    grown.flags.writeable = False
-    return grown
 
 
 def _first_offsets(primes: np.ndarray, first: int) -> np.ndarray:
@@ -163,27 +214,63 @@ def _odd_mask(lo: int, hi: int, base: np.ndarray) -> tuple[int, np.ndarray]:
     small = base[:split].astype(np.int64)
     for p, start in zip(small.tolist(), _first_offsets(small, first).tolist()):
         mask[start::p] = False
-    for at in range(split, base.size, _LARGE_CHUNK):
-        primes = base[at : at + _LARGE_CHUNK].astype(np.int64)
-        off = _first_offsets(primes, first)
+    _cross_large(mask, first, base[split:])
+    return first, mask
+
+
+def _cross_large(mask: np.ndarray, first: int, primes: np.ndarray) -> None:
+    """Cross the odd multiples of ascending ``primes`` off ``mask``, whose
+    entry i is ``first + 2*i``: ``_LARGE_CHUNK`` primes at a time, widened to
+    int64, in vectorised rounds of ``off += p``.  Each round is one write, so
+    this suits primes that hit the mask a few times at most."""
+    n = mask.size
+    for at in range(0, primes.size, _LARGE_CHUNK):
+        chunk = primes[at : at + _LARGE_CHUNK].astype(np.int64)
+        off = _first_offsets(chunk, first)
         while True:
             hit = off < n
             if not hit.any():
                 break
-            primes, off = primes[hit], off[hit]
+            chunk, off = chunk[hit], off[hit]
             mask[off] = False
-            off += primes
-    return first, mask
+            off += chunk
+
+
+def _streamed_base_primes(base: np.ndarray, root: int) -> Iterator[np.ndarray]:
+    """The primes of ``(_BASE_BOUND, root]`` as ascending int64 arrays, one
+    per ``_STREAM_CHUNK`` odd values, each sieved by :func:`_odd_mask` from
+    ``base`` (which must reach sqrt(root))."""
+    for lo in range(_BASE_BOUND + 1, root + 1, 2 * _STREAM_CHUNK):
+        first, mask = _odd_mask(lo, min(lo + 2 * _STREAM_CHUNK, root + 1), base)
+        primes = np.flatnonzero(mask)
+        primes <<= 1
+        primes += first
+        yield primes
 
 
 def _iter_masks(starts: range) -> Iterator[tuple[int, int, int, np.ndarray]]:
     """Yield ``(seg_lo, seg_hi, first_odd, mask)`` for each segment of a
-    :func:`_plan`, in segment order."""
+    :func:`_plan`, in segment order.
+
+    The base primes up to ``_BASE_BOUND`` come from the store.  When the
+    plan needs larger ones, its masks are built in batches of up to
+    ``_STREAM_MASK_BYTES``; each streamed chunk of base primes is crossed
+    into every mask of the batch before the next chunk is sieved, and the
+    batch is yielded when the last chunk is crossed.
+    """
     hi = starts.stop
-    base = _base_primes(math.isqrt(hi - 1))
-    for seg_lo in starts:
-        seg_hi = min(seg_lo + starts.step, hi)
-        yield (seg_lo, seg_hi, *_odd_mask(seg_lo, seg_hi, base))
+    root = math.isqrt(hi - 1)
+    base = _base_primes(min(root, _BASE_BOUND))
+    per_batch = 1 if root <= _BASE_BOUND else max(1, _STREAM_MASK_BYTES // (starts.step // 2))
+    for at in range(0, len(starts), per_batch):
+        batch = []
+        for seg_lo in starts[at : at + per_batch]:
+            seg_hi = min(seg_lo + starts.step, hi)
+            batch.append((seg_lo, seg_hi, *_odd_mask(seg_lo, seg_hi, base)))
+        for primes in _streamed_base_primes(base, math.isqrt(batch[-1][1] - 1)):
+            for _, _, first, mask in batch:
+                _cross_large(mask, first, primes)
+        yield from batch
 
 
 def iter_prime_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:

@@ -480,6 +480,15 @@ def test_table1_rows_of_one_chunk():
     )
 
 
+def test_table1_ten_digit_fields():
+    # fields near 5e9 > 2^32: a 10-digit field must not take the 32-bit digit loop
+    p = np.array([4999999937, 5000000029, 5000000039])
+    q = np.array([5000000029, 5000000039, 5000000059])
+    a = gaps.andrica_quotients(p, q)
+    rows = cli._table1_rows(p, q, a).decode("ascii")
+    assert rows == _python_rows(p.tolist(), q.tolist(), a.tolist())
+
+
 def test_table1_formats_only_ties_and_a_past_one_in_python():
     a = [0.25, 5e-10, 0.670873479, 0.9999999995, 1.0, 1 - 2**-53, 12.5]
     with mock.patch.object(cli, "format", side_effect=format, create=True) as spy:

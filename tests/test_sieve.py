@@ -127,7 +127,7 @@ def test_segment_plan_stays_flat(no_sieve):
 # strided writes and every larger one goes through the vectorised rounds,
 # _LARGE_CHUNK at a time.  Chunks of 1000 cut the base primes of one window
 # into 78 (near 10^12) to 17k (near 10^17) chunks; chunks of 3 made this file
-# take minutes.
+# take minutes.  Near 10^17 the base primes above _BASE_BOUND are streamed.
 _FAR_WINDOWS = [
     (10**12 - 1500, 10**12 + 1500),
     (10**15 + 7, 10**15 + 4007),
@@ -138,13 +138,50 @@ _FAR_WINDOWS = [
 @pytest.mark.parametrize("lo,hi", _FAR_WINDOWS)
 @pytest.mark.parametrize("segment_length", [None, 1000])
 def test_far_windows_against_is_prime(lo, hi, segment_length):
-    sieve._base_primes(math.isqrt(hi - 1))  # grown at the default segment length
+    sieve._base_primes(min(math.isqrt(hi - 1), sieve._BASE_BOUND))  # grown at the default length
     for chunk in (sieve._LARGE_CHUNK, 1000):
         with sieve_segments(segment_length), mock.patch.object(sieve, "_LARGE_CHUNK", chunk):
             survivors = set(sieve.primes_in_range(lo, hi).tolist())
         for v in range(lo | 1, hi, 2):
             assert (v in survivors) == sieve.is_prime(v), (chunk, v)
         assert all(v % 2 for v in survivors)
+
+
+# With the stored base primes cut to those up to 2^12, windows near 2^40
+# stream the base primes above it (up to 2^20).  In the first window sqrt(hi)
+# straddles 2^12: 4099, the first prime above it, is streamed only for the
+# batches that reach 4099^2, which no stored prime crosses off.
+_STREAMED_WINDOWS = [
+    (4099**2 - 3000, 4099**2 + 3000),
+    (2**40 - 3000, 2**40 + 3000),
+    (2**41 + 1, 2**41 + 6001),
+]
+
+
+@pytest.mark.parametrize("lo,hi", _STREAMED_WINDOWS)
+@pytest.mark.parametrize("segment_length", [None, 64, 1000])
+def test_streamed_base_primes_against_is_prime(lo, hi, segment_length):
+    chunks = []
+
+    def streamed(base, root):
+        for primes in stream(base, root):
+            chunks.append(primes.size)
+            yield primes
+
+    stream = sieve._streamed_base_primes
+    # batches of 3 masks; chunks of 2^13 odd values cut the primes up to 2^20 into 64
+    with (
+        sieve_segments(segment_length),
+        mock.patch.object(sieve, "_BASE_BOUND", 1 << 12),
+        mock.patch.object(sieve, "_STREAM_CHUNK", 1 << 13),
+        mock.patch.object(sieve, "_STREAM_MASK_BYTES", 3 * sieve.SEGMENT_LENGTH),
+        mock.patch.object(sieve, "_streamed_base_primes", streamed),
+    ):
+        survivors = set(sieve.primes_in_range(lo, hi).tolist())
+    for v in range(lo | 1, hi, 2):
+        assert (v in survivors) == sieve.is_prime(v), v
+    assert all(v % 2 for v in survivors)
+    assert sum(chunks) > 0  # some base primes came from the stream
 
 
 @pytest.mark.parametrize("segment_length", [16, 32, 64, 1000])
@@ -164,19 +201,19 @@ def test_tiny_segments_from_zero_keep_base_primes(segment_length):
 def test_window_order_does_not_change_results(monkeypatch):
     windows = [(10**9, 10**9 + 3000), (10**11, 10**11 + 3000), (10**13, 10**13 + 3000),
                (10**15 - 3000, 10**15)]
-    empty = (10, np.zeros(0, dtype=np.uint32))
-    monkeypatch.setattr(sieve, "_base_cache", empty)
+    monkeypatch.setattr(sieve, "_base_store", sieve._BaseStore())
     ascending = [sieve.primes_in_range(lo, hi) for lo, hi in windows]
-    monkeypatch.setattr(sieve, "_base_cache", empty)
+    monkeypatch.setattr(sieve, "_base_store", sieve._BaseStore())
     descending = [sieve.primes_in_range(lo, hi) for lo, hi in reversed(windows)][::-1]
     for a, d in zip(ascending, descending):
         assert np.array_equal(a, d)
-    assert sieve._base_cache[0] == math.isqrt(10**15 - 1)
-    assert sieve._base_cache[1].dtype == np.uint32
+    bound, primes = sieve._base_store.state
+    assert bound == math.isqrt(10**15 - 1)
+    assert primes.dtype == np.uint32 and not primes.flags.writeable
 
 
 def test_base_primes_grow_consistently_across_threads(monkeypatch):
-    monkeypatch.setattr(sieve, "_base_cache", (10, np.zeros(0, dtype=np.uint32)))
+    monkeypatch.setattr(sieve, "_base_store", sieve._BaseStore())
     bounds = [10**9, 10**10, 10**11, 10**12, 10**13, 10**14] * 2
     expected = {b: [v for v in range(b, b + 600) if sieve.is_prime(v)] for b in set(bounds)}
     interval = sys.getswitchinterval()
@@ -189,7 +226,7 @@ def test_base_primes_grow_consistently_across_threads(monkeypatch):
         sys.setswitchinterval(interval)
     for b, got in results:
         assert got == expected[b], b
-    bound, primes = sieve._base_cache
+    bound, primes = sieve._base_store.state
     flags = np.ones(bound + 1, dtype=bool)
     flags[:2] = False
     for f in range(2, math.isqrt(bound) + 1):
@@ -209,17 +246,27 @@ def _traced_peak(call):
 
 
 def test_far_window_transients_stay_small():
-    # With a warm cache a window 10^6 wide near 10^16 needs its mask (500 KB)
-    # and its primes (27168 of them); every base-prime slice is a view and
-    # the 5.8M large base primes are crossed one cache-sized chunk at a time.
-    sieve._base_primes(math.isqrt(10**16 + 10**6 - 1))
+    # With a full store a window 10^6 wide near 10^16 needs its mask (500 KB)
+    # and its primes (27168 of them); every stored base-prime slice is a view,
+    # the 3.96M stored base primes are crossed one cache-sized chunk at a
+    # time, and the 1.8M up to 10^8 are streamed a chunk at a time.
+    sieve._base_primes(sieve._BASE_BOUND)
     got, peak = _traced_peak(lambda: sieve.primes_in_range(10**16, 10**16 + 10**6))
     assert got.dtype == np.int64 and got.size == 27168
     assert peak < 4 << 20
-    # searchsorted with a key of another dtype would cast the whole cache
-    primes, peak = _traced_peak(lambda: sieve._base_primes(10**8))
+    # searchsorted with a key of another dtype would cast the whole store
+    primes, peak = _traced_peak(lambda: sieve._base_primes(10**7))
     assert peak < 64 << 10
-    assert np.shares_memory(primes, sieve._base_cache[1])
+    assert np.shares_memory(primes, sieve._base_store.state[1])
+
+
+@pytest.mark.slow
+def test_gap_1476_window_runs_in_flat_memory():
+    # sqrt(p) is 1.19e9: the 56M base primes above 2^26 are streamed, never kept
+    p = 1425172824437699411
+    got, peak = _traced_peak(lambda: sieve.primes_in_range(p - 10**6, p + 1477))
+    assert got[-2:].tolist() == [p, p + 1476]
+    assert peak < 64 << 20
 
 
 def test_record_916_endpoints_are_adjacent():
