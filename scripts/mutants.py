@@ -127,6 +127,20 @@ MUTANTS = (
         ("tests/test_cli.py::test_table1_digit_fields_match_str",),
         "killed",
     ),
+    Mutant(  # a top_k below 1 goes on to the scan
+        GAPS,
+        "if top_k is not None and top_k < 1:",
+        "if False:",
+        ("tests/test_gaps.py::test_scan_rejects_tiny_limits",),
+        "killed",
+    ),
+    Mutant(  # --threads 0 is accepted, since the flag has no effect
+        CLI,
+        "if self.threads < 1:",
+        "if False:",
+        ("tests/test_cli.py::test_threads_flag_is_checked_after_the_scan_input",),
+        "killed",
+    ),
     Mutant(
         HEURISTICS,
         "if factor < sys.float_info.min:",
@@ -162,9 +176,9 @@ MUTANTS = (
         ("tests/test_sieve.py::test_streamed_base_primes_against_is_prime",),
         "killed",
     ),
-    Mutant(  # a doubled store starts with garbage where its primes should be
+    Mutant(  # every chunk of a growth overwrites the one before it
         SIEVE,
-        "grown[:count] = self._buffer[:count]",
+        "count += found.size",
         "pass",
         ("tests/test_sieve.py::test_base_primes_grow_consistently_across_threads",),
         "killed",

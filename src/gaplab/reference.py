@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from typing import IO, Iterable
+from typing import IO
 
 from gaplab.gaps import GapRecord, GapRecordTable, stable_sqrt_diff
 from gaplab.sieve import MAX_PRIME_INPUT, is_prime
@@ -67,14 +67,9 @@ def _validate_records(records: list[tuple[int, int]]) -> None:
         last_g, last_p = g, p
 
 
-def parse_reference_table(text: str | IO[str] | Iterable[str]) -> ReferenceTable:
-    """Parse and validate a record table from text (string, file or lines)."""
-    if hasattr(text, "read"):
-        lines = text.read().splitlines()
-    elif isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = list(text)
+def parse_reference_table(text: str | IO[str]) -> ReferenceTable:
+    """Parse and validate a record table from a string or a text file."""
+    lines = (text if isinstance(text, str) else text.read()).splitlines()
 
     records: list[tuple[int, int]] = []
     for line_no, raw in enumerate(lines, start=1):

@@ -5,9 +5,9 @@ scan to 10^9 or beyond never holds more than a couple of megabytes of mask.
 Composite marking for 3, 5 and 7 is pre-baked into a tiled wheel pattern.
 The remaining base primes up to 2^26 come from one uint32 store, filled in
 place by running this same sieve over each new range; the base primes above
-2^26, needed only by windows past about 4.5e15, are sieved again in small
-chunks for each batch of a few MB of masks and never kept, so memory stays
-flat however far out a window lies.  Base primes much smaller than the
+2^26, needed only by windows past about 4.5e15, are sieved the same way in
+small chunks for each batch of a few MB of masks and never kept, so memory
+stays flat however far out a window lies.  Base primes much smaller than the
 segment are crossed off with strided numpy writes; the rest hit a segment a
 few times at most and are crossed in vectorised rounds, the bucket idea of
 T. Oliveira e Silva's segmented sieve and of primesieve (Oliveira e Silva,
@@ -85,63 +85,42 @@ def _plan(lo: int, hi: int) -> range:
 # It covers sqrt(hi) for every hi below about 4.5e15, in 15.8 MB.
 _BASE_BOUND = 1 << 26
 # pi(x) < 1.25506 x / ln x for x > 1 (Rosser-Schoenfeld): the store's capacity.
+# Every process takes all of it at import, 18.7 MB of address space; a page
+# becomes resident only when a growth first writes it, so a scan that needs
+# few base primes pays for few, and no growth ever copies the store.
 _BASE_CAPACITY = int(1.25506 * _BASE_BOUND / math.log(_BASE_BOUND)) + 1
-# A store whose doubled capacity would pass this many primes takes the whole
-# capacity at once.  Pages past the count are never written, so that costs
-# address space, not resident memory, and no larger copy ever follows;
-# doubling alone copied 1.95M primes while the perfbench windows grew to 2.5M,
-# and peaked 7 MB higher.
-_BASE_RESERVE_AT = 1 << 20
 
 
 class _BaseStore:
     """The odd primes in [11, bound] for the largest bound sieved so far.
 
-    They fill the front of one uint32 buffer.  A growth sieves only the new
-    range and writes its primes after the old ones, in place; when the buffer
-    is full its capacity at least doubles, and past ``_BASE_RESERVE_AT`` it
-    becomes ``_BASE_CAPACITY``.
-    ``state`` pairs the bound with a read-only view of its primes in one
-    tuple, replaced in one assignment, so a reader on another thread never
-    pairs a bound with the primes of a different step, and a growth never
-    writes inside a view that was handed out.
+    They fill the front of one uint32 buffer of ``_BASE_CAPACITY`` entries.
+    A growth sieves only the new range and writes its primes after the old
+    ones, in place.  ``state`` pairs the bound with a read-only view of its
+    primes in one tuple, replaced in one assignment, so a reader on another
+    thread never pairs a bound with the primes of a different step, and a
+    growth never writes inside a view that was handed out.
     """
 
     def __init__(self) -> None:
-        self.state: tuple[int, np.ndarray] = (10, np.zeros(0, dtype=np.uint32))
-        self._buffer = self.state[1]
+        self._buffer = np.empty(_BASE_CAPACITY, dtype=np.uint32)
+        self.state: tuple[int, np.ndarray] = (10, self._buffer[:0])
         self._lock = threading.Lock()
 
     def grow(self, bound: int) -> None:
         """Extend the store to ``bound`` <= ``_BASE_BOUND``."""
         with self._lock:
             cached, primes = self.state
+            count = primes.size
             while cached < bound:
                 step = min(bound, cached * cached)  # sieved with the primes up to cached
-                plan = _plan(cached + 1, step + 1)
-                for seg_lo in plan:
-                    first, mask = _odd_mask(seg_lo, min(seg_lo + plan.step, plan.stop), primes)
-                    found = np.flatnonzero(mask)
-                    found <<= 1
-                    found += first
-                    count = primes.size
-                    self._reserve(count, count + found.size)
+                for found in _sieved_primes(cached + 1, step + 1, primes, SEGMENT_LENGTH):
                     self._buffer[count : count + found.size] = found
-                    primes = self._buffer[: count + found.size]
+                    count += found.size
                 cached = step
-                primes = primes.view()
+                primes = self._buffer[:count]
                 primes.flags.writeable = False
                 self.state = (cached, primes)
-
-    def _reserve(self, count: int, need: int) -> None:
-        """Room for ``need`` primes, the first ``count`` of them kept."""
-        if need > self._buffer.size:
-            size = max(2 * self._buffer.size, need)
-            if size > _BASE_RESERVE_AT:
-                size = _BASE_CAPACITY
-            grown = np.empty(size, dtype=np.uint32)
-            grown[:count] = self._buffer[:count]
-            self._buffer = grown
 
 
 _base_store = _BaseStore()
@@ -150,10 +129,10 @@ _base_store = _BaseStore()
 def _base_primes(bound: int) -> np.ndarray:
     """Ascending odd primes in [11, bound] as a read-only uint32 array.
 
-    The result is a view of the store, which a larger ``bound`` first grows
-    by running this same sieve over ``(cached bound, bound]``.  ``bound`` is
-    at most ``_BASE_BOUND``, so every base prime fits in 32 bits and the
-    store never holds more than pi(2^26) of them.
+    The result is a view of the store's one buffer, which a larger ``bound``
+    first fills further by running this same sieve over ``(cached bound,
+    bound]``.  ``bound`` is at most ``_BASE_BOUND``, so every base prime fits
+    in 32 bits and the buffer's capacity for pi(2^26) always suffices.
     """
     cached, primes = _base_store.state
     if bound > cached:
@@ -236,16 +215,20 @@ def _cross_large(mask: np.ndarray, first: int, primes: np.ndarray) -> None:
             off += chunk
 
 
-def _streamed_base_primes(base: np.ndarray, root: int) -> Iterator[np.ndarray]:
-    """The primes of ``(_BASE_BOUND, root]`` as ascending int64 arrays, one
-    per ``_STREAM_CHUNK`` odd values, each sieved by :func:`_odd_mask` from
-    ``base`` (which must reach sqrt(root))."""
-    for lo in range(_BASE_BOUND + 1, root + 1, 2 * _STREAM_CHUNK):
-        first, mask = _odd_mask(lo, min(lo + 2 * _STREAM_CHUNK, root + 1), base)
-        primes = np.flatnonzero(mask)
-        primes <<= 1
-        primes += first
-        yield primes
+def _mask_primes(first: int, mask: np.ndarray) -> np.ndarray:
+    """The values ``first + 2*i`` at the set entries ``i`` of ``mask``, as int64."""
+    primes = np.flatnonzero(mask)
+    primes <<= 1
+    primes += first
+    return primes
+
+
+def _sieved_primes(lo: int, hi: int, base: np.ndarray, width: int) -> Iterator[np.ndarray]:
+    """The primes of ``[lo, hi)`` as ascending int64 arrays, one per ``width``
+    odd values, each sieved by :func:`_odd_mask` from ``base`` (which must
+    reach sqrt(hi - 1))."""
+    for at in range(lo, hi, 2 * width):
+        yield _mask_primes(*_odd_mask(at, min(at + 2 * width, hi), base))
 
 
 def _iter_masks(starts: range) -> Iterator[tuple[int, int, int, np.ndarray]]:
@@ -267,7 +250,8 @@ def _iter_masks(starts: range) -> Iterator[tuple[int, int, int, np.ndarray]]:
         for seg_lo in starts[at : at + per_batch]:
             seg_hi = min(seg_lo + starts.step, hi)
             batch.append((seg_lo, seg_hi, *_odd_mask(seg_lo, seg_hi, base)))
-        for primes in _streamed_base_primes(base, math.isqrt(batch[-1][1] - 1)):
+        top = math.isqrt(batch[-1][1] - 1) + 1
+        for primes in _sieved_primes(_BASE_BOUND + 1, top, base, _STREAM_CHUNK):
             for _, _, first, mask in batch:
                 _cross_large(mask, first, primes)
         yield from batch
@@ -281,7 +265,7 @@ def iter_prime_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
 
 
 def _primes_of(seg_lo: int, seg_hi: int, first: int, mask: np.ndarray) -> np.ndarray:
-    block = first + 2 * np.flatnonzero(mask)
+    block = _mask_primes(first, mask)
     if seg_lo <= 2 < seg_hi:
         block = np.concatenate(([2], block))
     return block

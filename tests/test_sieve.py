@@ -163,19 +163,20 @@ _STREAMED_WINDOWS = [
 def test_streamed_base_primes_against_is_prime(lo, hi, segment_length):
     chunks = []
 
-    def streamed(base, root):
-        for primes in stream(base, root):
-            chunks.append(primes.size)
+    def spied(lo, hi, base, width):
+        for primes in sieved(lo, hi, base, width):
+            if lo > sieve._BASE_BOUND:  # streamed; a store growth starts at or below it
+                chunks.append(primes.size)
             yield primes
 
-    stream = sieve._streamed_base_primes
+    sieved = sieve._sieved_primes
     # batches of 3 masks; chunks of 2^13 odd values cut the primes up to 2^20 into 64
     with (
         sieve_segments(segment_length),
         mock.patch.object(sieve, "_BASE_BOUND", 1 << 12),
         mock.patch.object(sieve, "_STREAM_CHUNK", 1 << 13),
         mock.patch.object(sieve, "_STREAM_MASK_BYTES", 3 * sieve.SEGMENT_LENGTH),
-        mock.patch.object(sieve, "_streamed_base_primes", streamed),
+        mock.patch.object(sieve, "_sieved_primes", spied),
     ):
         survivors = set(sieve.primes_in_range(lo, hi).tolist())
     for v in range(lo | 1, hi, 2):
@@ -234,6 +235,15 @@ def test_base_primes_grow_consistently_across_threads(monkeypatch):
     assert np.array_equal(primes, np.flatnonzero(flags)[4:])  # from 11 on
 
 
+def test_base_store_fills_one_buffer_in_place(monkeypatch):
+    monkeypatch.setattr(sieve, "_base_store", sieve._BaseStore())
+    views = [sieve._base_primes(b) for b in (10**3, 10**5, 10**7)]
+    final = sieve._base_store.state[1]
+    assert final.size == 664579 - 4  # pi(10^7), less 2, 3, 5 and 7
+    for view in views:
+        assert view.size and np.shares_memory(view, final)
+
+
 def _traced_peak(call):
     """``call()`` and the bytes its allocations reached at their peak."""
     tracemalloc.start()
@@ -261,10 +271,15 @@ def test_far_window_transients_stay_small():
 
 
 @pytest.mark.slow
-def test_gap_1476_window_runs_in_flat_memory():
+def test_gap_1476_window_runs_in_flat_memory(monkeypatch):
     # sqrt(p) is 1.19e9: the 56M base primes above 2^26 are streamed, never kept
     p = 1425172824437699411
-    got, peak = _traced_peak(lambda: sieve.primes_in_range(p - 10**6, p + 1477))
+
+    def window():  # a store made under the trace, so its buffer counts in the peak
+        monkeypatch.setattr(sieve, "_base_store", sieve._BaseStore())
+        return sieve.primes_in_range(p - 10**6, p + 1477)
+
+    got, peak = _traced_peak(window)
     assert got[-2:].tolist() == [p, p + 1476]
     assert peak < 64 << 20
 
